@@ -15,8 +15,15 @@ Two execution modes share all of the above:
   handler keeps the counts apart).
 * deterministic (seeded): no threads; a seeded scheduler interleaves the
   logical workers one handler run at a time, and the global-relabel clock
-  counts scheduler steps instead of wall time. Identical seeds replay
-  identical schedules.
+  counts scheduler steps instead of wall time.
+
+Replay contract of the deterministic mode: the same seed and the same
+configuration, fed the same events and queries, give the same schedule,
+the same work counts (messages sent and received, topology events, lifts,
+relabel runs, scheduler steps) and the same flow value at every query. The
+``debug`` checks observe the run without changing it. The scheduler's
+random draws are therefore part of the contract: it consults the seeded
+generator only when it has a real choice between workers or channels.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from . import vertex as vx
@@ -59,6 +67,7 @@ TOPO_EDGE = 0
 TOPO_NEWMAX = 1
 
 RUN_CAP = 32              # max handler invocations fused into one run
+PROBE_EVERY = 32          # scheduler steps between relabel-trigger probes
 SIM_STEPS_PER_MS = 50.0   # step clock for the deterministic mode
 
 
@@ -174,7 +183,6 @@ class Worker:
         "_rr",
         "_seq_out",
         "_seq_in",
-        "trace",
     )
 
     def __init__(self, wid: int, nworkers: int, engine: "Engine"):
@@ -192,7 +200,6 @@ class Worker:
         self._rr = 0
         self._seq_out = [0] * nworkers
         self._seq_in = [0] * nworkers
-        self.trace: Optional[list] = None
 
     # -- vertex and message plumbing -------------------------------------
 
@@ -216,55 +223,63 @@ class Worker:
         eng = self.engine
         workers = eng.workers
         n = eng.nworkers
-        debug = eng.debug
-        sent = 0
-        for dst, m in out:
-            tw = workers[dst % n]
-            if debug:
-                m.seq = self._seq_out[tw.wid]
-                self._seq_out[tw.wid] += 1
-            tw.chans[self.wid].append((dst, m))
-            sent += 1
-        self.msg_sent += sent
+        if eng.debug:
+            seq_out = self._seq_out
+            for dst, m in out:
+                k = dst % n
+                m.seq = seq_out[k]
+                seq_out[k] += 1
+        wid = self.wid
+        for item in out:
+            workers[item[0] % n].chans[wid].append(item)
+        self.msg_sent += len(out)
 
-    def has_work(self) -> bool:
-        if self.topo_enabled and self.topo:
-            return True
-        for c in self.chans:
-            if c:
-                return True
-        return False
+    def _check_enter(self, v: vx.VertexState) -> None:
+        """Debug mode: mark v as inside a handler run, refusing re-entry.
+        The run clears the mark unconditionally when it ends."""
+        if v.in_handler:
+            raise RuntimeError(f"re-entrant handler on vertex {v.vid}")
+        v.in_handler = True
 
-    def _enter(self, v: vx.VertexState) -> None:
-        if self.engine.debug:
-            if v.in_handler:
-                raise RuntimeError(f"re-entrant handler on vertex {v.vid}")
-            v.in_handler = True
-
-    def _exit(self, v: vx.VertexState) -> None:
-        if self.engine.debug:
-            v.in_handler = False
+    def _check_message_run(self, ci: int, v: vx.VertexState) -> None:
+        """Debug mode, once per message run: no topology event may be
+        pending in the seeded engine, and the messages the run is about to
+        consume (the same prefix ``message_run`` takes) must carry the
+        channel's next sequence numbers."""
+        if self.engine.deterministic and self.topo_enabled and self.topo:
+            raise RuntimeError("message consumed while topology events pending")
+        self._check_enter(v)
+        dst = v.vid
+        expect = self._seq_in[ci]
+        for k, (d, m) in enumerate(islice(self.chans[ci], RUN_CAP)):
+            if k and d != dst:
+                break
+            if m.seq != expect:
+                raise RuntimeError(
+                    f"channel {ci}->{self.wid} FIFO violated: seq {m.seq} != {expect}"
+                )
+            expect += 1
+        self._seq_in[ci] = expect
 
     # -- handler runs ------------------------------------------------------
 
     def topo_run(self) -> None:
         topo = self.topo
         item = topo.popleft()
+        v = self.get_vertex(item[1])
+        if self.engine.debug:
+            self._check_enter(v)
         out: list = []
         count = 1
         if item[0] == TOPO_NEWMAX:
-            v = self.get_vertex(item[1])
-            self._enter(v)
             vx.on_new_max_vertex_count(v, item[2], self.ctx, out)
-            self._exit(v)
         else:
             src = item[1]
-            v = self.get_vertex(src)
-            self._enter(v)
+            ctx = self.ctx
+            source = self.engine.source
+            handle = vx.on_edge_changed
             while True:
-                vx.on_edge_changed(
-                    v, item[2], item[3], self.ctx, out, self.engine.source, defer=True
-                )
+                handle(v, item[2], item[3], ctx, out, source, True)
                 if count >= RUN_CAP or not topo:
                     break
                 nxt = topo[0]
@@ -272,45 +287,31 @@ class Worker:
                     break
                 item = topo.popleft()
                 count += 1
-            vx.finish_vertex(v, self.ctx, out)
-            self._exit(v)
+            vx.finish_vertex(v, ctx, out)
+        v.in_handler = False
         self.route(out)
         self.topo_received += count
 
     def message_run(self, ci: int) -> None:
-        eng = self.engine
-        if eng.debug and eng.deterministic and self.topo_enabled and self.topo:
-            raise RuntimeError("message consumed while topology events pending")
+        """Consume the channel's next message plus up to RUN_CAP - 1 directly
+        following messages for the same vertex, as one handler run."""
         chan = self.chans[ci]
-        dst, m = chan.popleft()
-        if eng.debug:
-            if m.seq != self._seq_in[ci]:
-                raise RuntimeError(
-                    f"channel {ci}->{self.wid} out of order: {m.seq} != {self._seq_in[ci]}"
-                )
-            self._seq_in[ci] += 1
-        v = self.get_vertex(dst)
+        dst = chan[0][0]
+        v = self.vertices.get(dst)
+        if v is None:
+            v = self.get_vertex(dst)
+        if self.engine.debug:
+            self._check_message_run(ci, v)
+        ctx = self.ctx
         out: list = []
+        handle = vx.on_message_received
+        handle(v, chan.popleft()[1], ctx, out, True)
         count = 1
-        self._enter(v)
-        while True:
-            vx.on_message_received(v, m, self.ctx, out, defer=True)
-            if self.trace is not None:
-                self.trace.append((dst, m.sender, m.kind, m.amount, m.hpos))
-            if count >= RUN_CAP or not chan:
-                break
-            nd, nm = chan[0]
-            if nd != dst:
-                break
-            chan.popleft()
-            if eng.debug:
-                if nm.seq != self._seq_in[ci]:
-                    raise RuntimeError("channel FIFO violated inside run")
-                self._seq_in[ci] += 1
-            m = nm
+        while chan and count < RUN_CAP and chan[0][0] == dst:
+            handle(v, chan.popleft()[1], ctx, out, True)
             count += 1
-        vx.finish_vertex(v, self.ctx, out)
-        self._exit(v)
+        vx.finish_vertex(v, ctx, out)
+        v.in_handler = False
         self.route(out)
         self.msg_received += count
 
@@ -324,19 +325,6 @@ class Worker:
                 self.message_run(ci)
                 return True
         return False
-
-    # -- deterministic scheduling -----------------------------------------
-
-    def sim_step(self, rng: random.Random) -> bool:
-        if self.topo_enabled and self.topo:
-            self.topo_run()
-            return True
-        nonempty = [ci for ci, c in enumerate(self.chans) if c]
-        if not nonempty:
-            return False
-        ci = nonempty[0] if len(nonempty) == 1 else rng.choice(nonempty)
-        self.message_run(ci)
-        return True
 
     # -- threaded execution -------------------------------------------------
 
@@ -562,38 +550,62 @@ class SimEngine(Engine):
     def _now_ms(self) -> float:
         return self._steps / SIM_STEPS_PER_MS
 
-    def _sim_step(self) -> bool:
+    def _run_steps(self, budget: Optional[int]) -> int:
+        """The seeded scheduler: run up to ``budget`` handler runs (all
+        pending work when None) and return how many ran.
+
+        Each step picks a worker with work, at random among several, and
+        runs its topology FIFO first, else one of its non-empty message
+        channels, again at random among several. Workers whose topology is
+        disabled (relabel phases) are chosen for messages only. The seeded
+        generator is consulted only when there is a real choice, so its
+        draws, and with them the schedule, depend on the seed alone."""
         workers = self.workers
-        if len(workers) == 1:
-            if workers[0].sim_step(self.rng):
-                self._steps += 1
-                return True
-            return False
-        candidates = [w for w in workers if w.has_work()]
-        if not candidates:
-            return False
-        w = candidates[0] if len(candidates) == 1 else self.rng.choice(candidates)
-        if w.sim_step(self.rng):
-            self._steps += 1
-            return True
-        return False
+        single = len(workers) == 1
+        chan_ids = range(len(workers))
+        choice = self.rng.choice
+        topo_run = Worker.topo_run
+        message_run = Worker.message_run
+        done = 0
+        while budget is None or done < budget:
+            if single:
+                w = workers[0]
+            else:
+                ready = [w for w in workers if (w.topo_enabled and w.topo) or any(w.chans)]
+                if not ready:
+                    break
+                w = ready[0] if len(ready) == 1 else choice(ready)
+            if w.topo_enabled and w.topo:
+                topo_run(w)
+            elif single:
+                if not w.chans[0]:
+                    break
+                message_run(w, 0)
+            else:
+                chans = w.chans
+                ready_ci = [ci for ci in chan_ids if chans[ci]]
+                message_run(w, ready_ci[0] if len(ready_ci) == 1 else choice(ready_ci))
+            done += 1
+        self._steps += done
+        return done
 
     def pump(self, max_steps: Optional[int] = None) -> int:
         """Process up to max_steps handler runs (all pending work when None),
-        honoring relabel triggers. Returns the number of steps executed."""
+        honoring relabel triggers. Returns the number of steps executed.
+
+        The relabel trigger is probed before every batch of PROBE_EVERY
+        steps; the relabel clock (``_steps``) advances once per step."""
         done = 0
-        probe = 0
         while max_steps is None or done < max_steps:
-            probe -= 1
-            if probe <= 0:  # trigger probes are amortized over steps
-                probe = 32
-                if check_trigger(
-                    self.gr, self._now_ms(), self._total_lifts(), self.store.n_max
-                ) and not self._queues_empty():
-                    self._run_gr(capture=False)
-            if not self._sim_step():
+            if check_trigger(
+                self.gr, self._now_ms(), self._total_lifts(), self.store.n_max
+            ) and not self._queues_empty():
+                self._run_gr(capture=False)
+            budget = PROBE_EVERY if max_steps is None else min(PROBE_EVERY, max_steps - done)
+            ran = self._run_steps(budget)
+            done += ran
+            if ran < budget:
                 break
-            done += 1
         return done
 
     def query(self, trigger_ts: Optional[int] = None) -> QueryResult:
@@ -612,22 +624,6 @@ class SimEngine(Engine):
 
     # -- global relabel (synchronous) -----------------------------------------
 
-    def _drain_messages_sim(self) -> None:
-        workers = self.workers
-        single = len(workers) == 1
-        while True:
-            if single:
-                if not any(workers[0].chans):
-                    return
-                w = workers[0]
-            else:
-                candidates = [w for w in workers if any(w.chans)]
-                if not candidates:
-                    return
-                w = candidates[0] if len(candidates) == 1 else self.rng.choice(candidates)
-            w.sim_step(self.rng)
-            self._steps += 1
-
     def _run_gr(self, capture: bool = False) -> Optional[GrSnapshot]:
         gr = self.gr
         if gr.phase != PHASE_NORMAL:
@@ -637,7 +633,7 @@ class SimEngine(Engine):
         for w in self.workers:
             w.ctx.lift_enabled = False
             w.topo_enabled = False
-        self._drain_messages_sim()
+        self._run_steps(None)  # topology is disabled: drains messages only
 
         excess_before = None
         if self.debug:
@@ -663,7 +659,7 @@ class SimEngine(Engine):
             for v in w.vertices.values():
                 vx.broadcast_height_if_needed(v, out)
             w.route(out)
-        self._drain_messages_sim()
+        self._run_steps(None)  # topology is disabled: drains messages only
 
         if self.debug:
             for vid, v in self.vertices_items():

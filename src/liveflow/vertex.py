@@ -28,7 +28,7 @@ Conventions used throughout:
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Sequence
 
 __all__ = [
     "INF",
@@ -296,17 +296,23 @@ def discharge(v: VertexState, ctx: OpContext, out: list) -> None:
     normal = v.vtype == NORMAL
     while v.excess != 0:
         positive = v.excess > 0
+        # A push moves only the opposite height, so h holds for the pass and
+        # push is called only where its height and residual tests can pass.
         if positive:
-            res, mirrors = v.res_out, v.mirror_hpos
+            res, mirrors, h = v.res_out, v.mirror_hpos, v.height_pos
         else:
-            res, mirrors = v.res_in, v.mirror_hneg
+            res, mirrors, h = v.res_in, v.mirror_hneg, v.height_neg
         best = INF + 1
         for i in range(n):
-            push(v, i, ctx, out)
-            if v.excess == 0:
-                return
-            if res[i] > 0 and mirrors[i] < best:
-                best = mirrors[i]
+            if res[i] > 0:
+                if h > mirrors[i]:
+                    push(v, i, ctx, out)
+                    if v.excess == 0:
+                        return
+                    if res[i] <= 0:
+                        continue
+                if mirrors[i] < best:
+                    best = mirrors[i]
         if not normal or not ctx.lift_enabled:
             return
         if best > INF:
@@ -327,7 +333,8 @@ def restore_height_invariant(v: VertexState, i: int, ctx: OpContext, out: list) 
     first try to saturate the arc by pushing, then descend whichever own
     height still sits more than one level above the mirrored height on a
     positive residual."""
-    push(v, i, ctx, out)
+    if v.excess:
+        push(v, i, ctx, out)
     if v.vtype != NORMAL:
         return
     cap = v.mirror_hpos[i] + 1
@@ -339,7 +346,7 @@ def restore_height_invariant(v: VertexState, i: int, ctx: OpContext, out: list) 
 
 
 def broadcast_height_if_needed(
-    v: VertexState, out: list, dirty: Tuple[int, ...] = ()
+    v: VertexState, out: list, dirty: Sequence[int] = ()
 ) -> None:
     """Send updated heights to neighbours that need them.
 
@@ -363,9 +370,13 @@ def broadcast_height_if_needed(
         v.last_bcast_pos = hp
         v.last_bcast_neg = hn
     elif dirty:
+        res_in = v.res_in
+        res_out = v.res_out
+        sent_p = v.sent_hpos
+        sent_n = v.sent_hneg
         for i in dirty:
-            if (v.res_in[i] > 0 and v.sent_hpos[i] != hp) or (
-                v.res_out[i] > 0 and v.sent_hneg[i] != hn
+            if (res_in[i] > 0 and sent_p[i] != hp) or (
+                res_out[i] > 0 and sent_n[i] != hn
             ):
                 _send(v, i, FLOW, 0, out)
 
@@ -448,9 +459,10 @@ def on_message_received(
         res_in[i] += m.amount
     else:
         amt = m.amount
-        v.res_out[i] += amt
-        res_in[i] -= amt
-        v.excess += amt
+        if amt:  # most messages are height-only refreshes
+            v.res_out[i] += amt
+            res_in[i] -= amt
+            v.excess += amt
 
     if res_in[i] < 0:
         # The inbound residual went negative (capacity decrease raced past
@@ -480,9 +492,11 @@ def on_message_received(
 def finish_vertex(v: VertexState, ctx: OpContext, out: list) -> None:
     """Run the discharge/broadcast tail once for a batch of deferred
     handler invocations on the same vertex."""
-    discharge(v, ctx, out)
-    broadcast_height_if_needed(v, out, dirty=tuple(v.pending_dirty))
-    v.pending_dirty.clear()
+    if v.excess:
+        discharge(v, ctx, out)
+    dirty = v.pending_dirty
+    broadcast_height_if_needed(v, out, dirty)
+    dirty.clear()
 
 
 def relabel_up(v: VertexState, n_projected: int) -> None:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_add_stream
-from liveflow import TopologyEvent, max_flow_reference
+from liveflow import TopologyEvent, max_flow_reference, vertex
 from liveflow.runtime import (
     EngineConfig,
     SimEngine,
@@ -94,20 +94,38 @@ class TestIngest:
 
 
 class TestRouting:
-    def test_channel_fifo_order(self):
+    def test_channel_fifo_order(self, monkeypatch):
         eng = sim(workers=2, seed=5)
         target = 2  # worker 0 owns vertex 2 when workers=2
         w = eng.workers[target % 2]
-        w.trace = []
+        arrived = []
+        handle = vertex.on_message_received
+
+        def record(v, m, *args, **kwargs):
+            if v.vid == target and m.sender == 50:
+                arrived.append(m.hpos)
+            return handle(v, m, *args, **kwargs)
+
+        monkeypatch.setattr(vertex, "on_message_received", record)
         msgs = [Msg(50, -1, 0, FLOW, 0, k, 0) for k in range(6)]
         eng.workers[0].route([(target, m) for m in msgs])
         eng.pump()
-        arrived = [item for item in w.trace if item[0] == target and item[1] == 50]
         # six injected messages in send order, then the greeting reply
-        assert [m[4] for m in arrived][:6] == list(range(6))
+        assert arrived[:6] == list(range(6))
         v = w.vertices[target]
         # last write wins: the reply carries a suppressed (INF) height
         assert v.mirror_hpos[v.nbr_index[50]] == INF
+
+    @pytest.mark.parametrize("dsts, swap", [((2, 4, 6), 0), ((2, 2, 2), 1)],
+                             ids=["run-head", "inside-run"])
+    def test_fifo_violation_raises_in_debug_mode(self, dsts, swap):
+        eng = sim(workers=2, seed=5)
+        chan = eng.workers[0].chans[1]
+        eng.workers[1].route([(d, Msg(50 + k, -1, 0, FLOW, 0, 1, 1))
+                              for k, d in enumerate(dsts)])
+        chan[swap], chan[swap + 1] = chan[swap + 1], chan[swap]
+        with pytest.raises(RuntimeError, match="FIFO violated"):
+            eng.pump()
 
     def test_message_to_unseen_vertex_materializes_it(self):
         eng = sim(workers=3, seed=2)
@@ -151,7 +169,7 @@ class TestRouting:
             injected_waits = injected_waits and any(
                 m.sender == 55 for c in w.chans for _, m in c
             )
-            w.sim_step(eng.rng)
+            assert eng.pump(max_steps=1) == 1
         assert injected_waits
 
 
