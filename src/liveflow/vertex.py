@@ -296,23 +296,17 @@ def discharge(v: VertexState, ctx: OpContext, out: list) -> None:
     normal = v.vtype == NORMAL
     while v.excess != 0:
         positive = v.excess > 0
-        # A push moves only the opposite height, so h holds for the pass and
-        # push is called only where its height and residual tests can pass.
         if positive:
-            res, mirrors, h = v.res_out, v.mirror_hpos, v.height_pos
+            res, mirrors = v.res_out, v.mirror_hpos
         else:
-            res, mirrors, h = v.res_in, v.mirror_hneg, v.height_neg
+            res, mirrors = v.res_in, v.mirror_hneg
         best = INF + 1
         for i in range(n):
-            if res[i] > 0:
-                if h > mirrors[i]:
-                    push(v, i, ctx, out)
-                    if v.excess == 0:
-                        return
-                    if res[i] <= 0:
-                        continue
-                if mirrors[i] < best:
-                    best = mirrors[i]
+            push(v, i, ctx, out)
+            if v.excess == 0:
+                return
+            if res[i] > 0 and mirrors[i] < best:
+                best = mirrors[i]
         if not normal or not ctx.lift_enabled:
             return
         if best > INF:

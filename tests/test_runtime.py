@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+import threading
 import time
 
 import pytest
@@ -126,6 +128,49 @@ class TestRouting:
         chan[swap], chan[swap + 1] = chan[swap + 1], chan[swap]
         with pytest.raises(RuntimeError, match="FIFO violated"):
             eng.pump()
+
+    def test_debug_run_leaves_messages_appended_during_it(self, monkeypatch):
+        # A sender on another thread may append to a channel while a run is
+        # inside its handlers; the run consumes only the messages it checked.
+        eng = sim(workers=2, seed=5)
+        sender = eng.workers[1]
+        handle = vertex.on_message_received
+        late = [Msg(51, -1, 0, FLOW, 0, 1, 1)]
+
+        def append_during_run(v, m, *args, **kwargs):
+            if late and v.vid == 2:
+                sender.route([(2, late.pop())])
+            return handle(v, m, *args, **kwargs)
+
+        monkeypatch.setattr(vertex, "on_message_received", append_during_run)
+        sender.route([(2, Msg(50, -1, 0, FLOW, 0, 1, 1))])
+        eng.pump()
+        assert eng.workers[0]._seq_in[1] == sender._seq_out[0]
+        assert eng.detect_quiescence()
+
+    def test_debug_runs_with_a_concurrent_sender(self):
+        eng = sim(workers=2, seed=5)
+        w, sender = eng.workers
+        chan = w.chans[1]
+        batches = [k % 4 + 1 for k in range(4000)]
+
+        def send():
+            for b in batches:
+                sender.route([(2, Msg(51, -1, 0, FLOW, 0, 1, 1)) for _ in range(b)])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the two threads finely
+        t = threading.Thread(target=send)
+        try:
+            t.start()
+            while t.is_alive() or chan:
+                if chan:
+                    w.message_run(1)
+        finally:
+            t.join()
+            sys.setswitchinterval(interval)
+        assert w._seq_in[1] == sum(batches)
+        assert w.msg_received == sum(batches)
 
     def test_message_to_unseen_vertex_materializes_it(self):
         eng = sim(workers=3, seed=2)
