@@ -4,12 +4,13 @@
     python3 scripts/ab_bench.py --base HEAD~1 --workload growth --pairs 10
     python3 scripts/ab_bench.py --base main --workload window-poll --seed 7
 
-The base commit is checked out into a temporary ``git worktree`` (removed
-afterwards). Each pair runs ``perfbench/run.py`` once in the working tree
-and once in the base checkout, with the same workload, seed and run length;
-which side runs first alternates from pair to pair, so a slow drift of the
-host does not favour one side. Both sides run the working tree's benchmark
-command from ``BENCHMARK.json`` against their own ``src/``.
+The base commit's files are exported with ``git archive`` into a temporary
+directory (removed afterwards), so the repository itself is not touched.
+Each pair runs ``perfbench/run.py`` once in the working tree and once in the
+base checkout, with the same workload, seed and run length; which side runs
+first alternates from pair to pair, so a slow drift of the host does not
+favour one side. Both sides run the working tree's benchmark command from
+``BENCHMARK.json`` against their own ``src/``.
 
 For every metric the report gives each side's median and quartiles, the
 change's median relative to the base's, and the fraction of pairs the
@@ -20,12 +21,14 @@ side. Only the standard library and the local git are used.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import shutil
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 from typing import Dict, List
 
@@ -100,9 +103,13 @@ def main(argv=None) -> int:
     sha = git("rev-parse", "--verify", args.base + "^{commit}")
     tmp = tempfile.mkdtemp(prefix="ab_bench-")
     base_dir = os.path.join(tmp, sha[:12])
-    git("worktree", "add", "--detach", base_dir, sha)
     runs: Dict[str, List[dict]] = {"base": [], "change": []}
     try:
+        os.mkdir(base_dir)
+        archive = subprocess.run(["git", "-C", ROOT, "archive", sha],
+                                 check=True, capture_output=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(base_dir)
         for i in range(args.pairs):
             order = ("change", "base") if i % 2 == 0 else ("base", "change")
             for side in order:
@@ -113,7 +120,6 @@ def main(argv=None) -> int:
                 print(f"pair {i + 1}/{args.pairs} {side:<6} events_per_s={value}",
                       file=sys.stderr, flush=True)
     finally:
-        git("worktree", "remove", "--force", base_dir)
         shutil.rmtree(tmp, ignore_errors=True)
     print(f"workload {args.workload}, seed {args.seed}, {args.seconds:g} s per run, "
           f"{args.pairs} pairs; base {sha[:12]}, change = working tree of {ROOT}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import IO, Callable, List, Optional
 
 from .events import (
@@ -83,11 +83,7 @@ def _engine_config(cfg: RunConfig) -> EngineConfig:
         workers=cfg.workers,
         alpha=cfg.alpha,
         deterministic_seed=cfg.deterministic_seed,
-        gr=GrTunables(
-            lift_threshold=cfg.gr.lift_threshold,
-            time_factor=cfg.gr.time_factor,
-            min_interval_ms=cfg.gr.min_interval_ms,
-        ),
+        gr=replace(cfg.gr),
     )
 
 

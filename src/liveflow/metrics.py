@@ -11,7 +11,6 @@ __all__ = [
     "QueryRecord",
     "QuerySchedule",
     "stability_score",
-    "throughput_report",
     "write_record",
     "write_summary",
     "summarize",
@@ -58,32 +57,6 @@ def stability_score(current: Iterable[int], previous: Iterable[int]) -> float:
         return 100.0
     prev: Set[int] = set(previous)
     return len(cur & prev) / len(cur) * 100.0
-
-
-def throughput_report(segments: Iterable[tuple]) -> dict:
-    """Summarize per-segment ingestion rates. Each segment is an
-    (events, seconds) pair; zero-duration segments are excluded from the
-    statistics and flagged in the result."""
-    rates: List[float] = []
-    skipped = 0
-    for events, seconds in segments:
-        if seconds > 0:
-            rates.append(events / seconds)
-        else:
-            skipped += 1
-    if rates:
-        return {
-            "median_events_per_sec": statistics.median(rates),
-            "min_events_per_sec": min(rates),
-            "max_events_per_sec": max(rates),
-            "zero_duration_segments": skipped,
-        }
-    return {
-        "median_events_per_sec": None,
-        "min_events_per_sec": None,
-        "max_events_per_sec": None,
-        "zero_duration_segments": skipped,
-    }
 
 
 def summarize(records: List[QueryRecord], total_events: int) -> dict:

@@ -45,7 +45,6 @@ __all__ = [
     "add_neighbour",
     "slot_of",
     "push",
-    "lift",
     "discharge",
     "restore_height_invariant",
     "broadcast_height_if_needed",
@@ -253,60 +252,43 @@ def push(v: VertexState, i: int, ctx: OpContext, out: list) -> int:
     return amount
 
 
-def lift(v: VertexState, ctx: OpContext) -> bool:
-    """Raise the vertex to the minimum height that gives it a pushable
-    neighbour. Only normal vertices with nonzero excess may lift. Returns
-    False when every candidate neighbour's mirrored height is still INF
-    (a refresh is in flight; the excess waits)."""
-    if v.vtype != NORMAL or v.excess == 0:
-        raise InvariantViolation(f"lift on vertex {v.vid} without liftable excess")
-    positive = v.excess > 0
-    res = v.res_out if positive else v.res_in
-    mirrors = v.mirror_hpos if positive else v.mirror_hneg
-    best = INF + 1
-    for i in range(len(res)):
-        if res[i] > 0 and mirrors[i] < best:
-            best = mirrors[i]
-    if best > INF:
-        raise InvariantViolation(
-            f"vertex {v.vid} holds excess {v.excess} but has no residual arc to relabel toward"
-        )
-    if best == INF:
-        return False
-    if positive:
-        v.height_pos = best + 1
-    else:
-        v.height_neg = best + 1
-    ctx.lift_count += 1
-    return True
-
-
 def discharge(v: VertexState, ctx: OpContext, out: list) -> None:
-    """Drain the vertex's excess: push to every neighbour, lifting between
-    passes, until nothing is left. The source and sink attempt each
+    """Drain the vertex's excess: push along every admissible arc, lifting
+    between passes, until nothing is left. The source and sink attempt each
     neighbour once and stop regardless of remaining excess; a deficit whose
     negative height is INF cannot push and returns immediately.
 
-    The lift minimum is computed in the same pass that attempts the pushes,
-    so large neighbour lists are scanned once per round.
+    An arc is admissible when it has residual capacity and the vertex sits
+    above the mirrored height; only those reach :func:`push`. The other
+    residual arcs give the lift minimum in the same pass, so large neighbour
+    lists are scanned once per round. A push that leaves excess behind has
+    saturated its arc, so it never feeds the minimum.
+
+    While pushes are disabled (relabel-down, when lifts are disabled too)
+    nothing can act and the call returns at once. The lift raises a normal
+    vertex to one above the lowest residual mirror; when every residual
+    mirror is INF a height refresh is in flight and the excess waits.
     """
-    if v.excess < 0 and v.height_neg >= INF:
+    if not ctx.push_enabled or (v.excess < 0 and v.height_neg >= INF):
         return
     n = len(v.nbr_ids)
     normal = v.vtype == NORMAL
     while v.excess != 0:
         positive = v.excess > 0
         if positive:
-            res, mirrors = v.res_out, v.mirror_hpos
+            h, res, mirrors = v.height_pos, v.res_out, v.mirror_hpos
         else:
-            res, mirrors = v.res_in, v.mirror_hneg
+            h, res, mirrors = v.height_neg, v.res_in, v.mirror_hneg
         best = INF + 1
         for i in range(n):
-            push(v, i, ctx, out)
-            if v.excess == 0:
-                return
-            if res[i] > 0 and mirrors[i] < best:
-                best = mirrors[i]
+            if res[i] > 0:
+                m = mirrors[i]
+                if h > m:
+                    push(v, i, ctx, out)
+                    if v.excess == 0:
+                        return
+                elif m < best:
+                    best = m
         if not normal or not ctx.lift_enabled:
             return
         if best > INF:

@@ -10,7 +10,6 @@ from liveflow.metrics import (
     QuerySchedule,
     stability_score,
     summarize,
-    throughput_report,
     write_record,
     write_summary,
 )
@@ -61,30 +60,6 @@ class TestSchedule:
             QuerySchedule(0)
 
 
-class TestThroughputReport:
-    def test_single_segment(self):
-        rep = throughput_report([(1000, 2.0)])
-        assert rep["median_events_per_sec"] == 500.0
-        assert rep["min_events_per_sec"] == 500.0
-        assert rep["max_events_per_sec"] == 500.0
-        assert rep["zero_duration_segments"] == 0
-
-    def test_two_segments_median_and_range(self):
-        rep = throughput_report([(100, 1.0), (300, 1.0)])
-        assert rep["median_events_per_sec"] == 200.0
-        assert (rep["min_events_per_sec"], rep["max_events_per_sec"]) == (100.0, 300.0)
-
-    def test_zero_duration_segment_excluded_and_flagged(self):
-        rep = throughput_report([(100, 1.0), (50, 0.0)])
-        assert rep["median_events_per_sec"] == 100.0
-        assert rep["zero_duration_segments"] == 1
-
-    def test_all_degenerate(self):
-        rep = throughput_report([(5, 0.0)])
-        assert rep["median_events_per_sec"] is None
-        assert rep["zero_duration_segments"] == 1
-
-
 def _record(**kw):
     base = dict(
         trigger_ts=10,
@@ -96,6 +71,38 @@ def _record(**kw):
     )
     base.update(kw)
     return QueryRecord(**base)
+
+
+def _segments(*rates):
+    """Query records whose segments ran at the given events/s (None for a
+    zero-duration segment)."""
+    return [_record(events_per_sec=r) for r in rates]
+
+
+class TestThroughputReport:
+    """The ingestion-rate part of :func:`summarize`."""
+
+    def test_single_segment(self):
+        rep = summarize(_segments(500.0), total_events=1000)
+        assert rep["median_events_per_sec"] == 500.0
+        assert rep["min_events_per_sec"] == 500.0
+        assert rep["max_events_per_sec"] == 500.0
+        assert rep["zero_duration_segments"] == 0
+
+    def test_two_segments_median_and_range(self):
+        rep = summarize(_segments(100.0, 300.0), total_events=400)
+        assert rep["median_events_per_sec"] == 200.0
+        assert (rep["min_events_per_sec"], rep["max_events_per_sec"]) == (100.0, 300.0)
+
+    def test_zero_duration_segment_excluded_and_flagged(self):
+        rep = summarize(_segments(100.0, None), total_events=150)
+        assert rep["median_events_per_sec"] == 100.0
+        assert rep["zero_duration_segments"] == 1
+
+    def test_all_degenerate(self):
+        rep = summarize(_segments(None), total_events=5)
+        assert rep["median_events_per_sec"] is None
+        assert rep["zero_duration_segments"] == 1
 
 
 class TestFormats:

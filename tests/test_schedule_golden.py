@@ -13,7 +13,9 @@ purpose must say so and record the new values.
   one exercises the seeded choice between workers and between channels.
 
 Both run with ``debug`` off (the benchmark's setting) and on; the debug
-checks must not move the schedule.
+checks must not move the schedule. A third test replays the ``window``
+stream under ten seeds: the seeds must still give different interleavings,
+and every one of them the reference flow.
 """
 
 import random
@@ -78,8 +80,8 @@ CASES = {
     "window": dict(
         events=lambda: list(sliding_window_transform(growth_stream(100, 1200, seed=12), 300)),
         workers=2, seed=9, query_every=100,
-        counts={"msg_sent": 105839, "msg_received": 105839, "topo_received": 2137,
-                "lifts": 4364, "relabel_runs": 43, "steps": 104364},
+        counts={"msg_sent": 113882, "msg_received": 113882, "topo_received": 2137,
+                "lifts": 4501, "relabel_runs": 44, "steps": 112295},
         flows=[0, 1, 9, 8, 7, 7, 6, 4, 8, 9, 6, 9, 7, 7, 4, 4, 4, 9, 11, 12, 10],
     ),
 }
@@ -96,3 +98,16 @@ def test_seeded_schedule_replays_golden_counts(name, debug):
     assert flows == case["flows"]
     want, _ = max_flow_reference(eng.snapshot_static(), 0, 1)
     assert flows[-1] == want
+
+
+def test_seeds_give_distinct_schedules_with_the_same_flow():
+    case = CASES["window"]
+    events = case["events"]()
+    schedules = set()
+    for seed in range(10):
+        counts, flows, eng = replay(events, case["workers"], seed,
+                                    case["query_every"], False)
+        schedules.add(tuple(counts.values()))
+        want, _ = max_flow_reference(eng.snapshot_static(), 0, 1)
+        assert flows[-1] == want, f"seed {seed}"
+    assert len(schedules) >= 5, schedules

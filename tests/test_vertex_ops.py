@@ -15,7 +15,6 @@ from liveflow.vertex import (
     add_neighbour,
     broadcast_height_if_needed,
     discharge,
-    lift,
     push,
     restore_height_invariant,
 )
@@ -77,37 +76,46 @@ class TestPush:
 
 
 class TestLift:
+    """The lift inside :func:`discharge`: a normal vertex with no admissible
+    arc rises to one above the lowest residual mirror, then pushes."""
+
     def test_minimum_over_residual_neighbours(self):
         v = make_vertex(excess=2, hpos=0)
         wire(v, 10, res_out=2, mhpos=5)
         wire(v, 11, res_out=0, mhpos=3)  # no residual, excluded
         wire(v, 12, res_out=1, mhpos=7)
-        lift(v, OpContext())
+        out = []
+        discharge(v, OpContext(), out)
         assert v.height_pos == 6
+        assert flows(out) == [(10, 2)]
 
     def test_single_candidate(self):
         v = make_vertex(excess=2, hpos=0)
-        wire(v, 10, res_out=1, mhpos=0)
-        lift(v, OpContext())
+        wire(v, 10, res_out=2, mhpos=0)
+        discharge(v, OpContext(), [])
         assert v.height_pos == 1
+        assert v.excess == 0
 
     def test_no_residual_candidate_is_a_violation(self):
         v = make_vertex(excess=2, hpos=0)
         wire(v, 10, res_out=0, mhpos=1)
         with pytest.raises(InvariantViolation):
-            lift(v, OpContext())
+            discharge(v, OpContext(), [])
 
     def test_unknown_mirror_heights_block_instead_of_lifting(self):
+        ctx = OpContext()
         v = make_vertex(excess=2, hpos=0)
         wire(v, 10, res_out=4, mhpos=INF)
-        assert lift(v, OpContext()) is False
+        out = []
+        discharge(v, ctx, out)
         assert v.height_pos == 0
+        assert (v.excess, out, ctx.lift_count) == (2, [], 0)
 
     def test_counts_lifts(self):
         ctx = OpContext()
         v = make_vertex(excess=1, hpos=0)
         wire(v, 10, res_out=1, mhpos=0)
-        lift(v, ctx)
+        discharge(v, ctx, [])
         assert ctx.lift_count == 1
 
 
@@ -138,6 +146,29 @@ class TestDischarge:
         discharge(v, OpContext(), out)
         assert v.excess == -3
         assert out == []
+
+    def test_push_and_lift_disabled_changes_nothing(self):
+        ctx = OpContext()
+        ctx.push_enabled = False
+        ctx.lift_enabled = False
+        v = make_vertex(excess=2, hpos=3, hneg=4)
+        i = wire(v, 7, res_out=5, res_in=1, mhpos=0, mhneg=0)
+        out = []
+        discharge(v, ctx, out)
+        assert out == []
+        assert (v.excess, v.height_pos, v.height_neg) == (2, 3, 4)
+        assert (v.res_out[i], v.res_in[i], ctx.lift_count) == (5, 1, 0)
+
+    def test_equal_height_arc_is_not_pushed_but_sets_the_lift_minimum(self):
+        v = make_vertex(excess=2, hpos=4)
+        level = wire(v, 7, res_out=5, mhpos=4)   # equal height: not admissible
+        wire(v, 8, res_out=5, mhpos=6)
+        out = []
+        discharge(v, OpContext(), out)
+        # no push at height 4; the lift goes to 4 + 1, then drains into 7
+        assert v.height_pos == 5
+        assert flows(out) == [(7, 2)]
+        assert v.res_out[level] == 3
 
     def test_lift_disabled_parks_excess(self):
         ctx = OpContext()
