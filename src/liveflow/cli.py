@@ -30,9 +30,9 @@ from .metrics import (
     write_record,
     write_summary,
 )
-from .oracle import StaticGraph, max_flow_reference
+from .oracle import max_flow_reference
 from .relabel import GrTunables
-from .runtime import EngineConfig, StreamValidityError, create_engine
+from .runtime import EngineConfig, GraphStore, StreamValidityError, create_engine
 
 __all__ = ["RunConfig", "run_cli", "main"]
 
@@ -59,21 +59,15 @@ class RunConfig:
     static_baseline: bool = False
 
     def validate(self) -> None:
-        if self.source == self.sink:
-            raise ValueError("source and sink must differ")
+        """Check this run's own fields, then the engine's and the stream's
+        through their configs, so each rule is written once and holds also
+        when no engine is built (``static_baseline``)."""
         if self.query_interval <= 0:
             raise ValueError("query interval must be positive")
-        if self.workers < 1:
-            raise ValueError("need at least one worker")
-        if self.window is not None and self.window <= 0:
-            raise ValueError("window size must be positive")
-        if self.offered_rate is not None and self.offered_rate <= 0:
-            raise ValueError("offered rate must be positive")
-        if self.alpha <= 1.0:
-            raise ValueError("projection factor must exceed 1")
         if self.output_format not in ("tsv", "jsonl"):
             raise ValueError(f"unknown output format {self.output_format!r}")
-        self.gr.validate()
+        _engine_config(self).validate()
+        _stream_config(self).validate()
 
 
 def _engine_config(cfg: RunConfig) -> EngineConfig:
@@ -85,6 +79,10 @@ def _engine_config(cfg: RunConfig) -> EngineConfig:
         deterministic_seed=cfg.deterministic_seed,
         gr=replace(cfg.gr),
     )
+
+
+def _stream_config(cfg: RunConfig) -> StreamConfig:
+    return StreamConfig(window=cfg.window, offered_rate=cfg.offered_rate)
 
 
 class _OracleMismatch(Exception):
@@ -109,7 +107,6 @@ def run_cli(
         print(f"liveflow: configuration error: {exc}", file=err)
         return EXIT_CONFIG
 
-    stream_cfg = StreamConfig(window=cfg.window, offered_rate=cfg.offered_rate)
     try:
         fh = open(cfg.input_path, "r", encoding="utf-8")
     except OSError as exc:
@@ -117,30 +114,23 @@ def run_cli(
         return EXIT_ERROR
 
     engine = None if cfg.static_baseline else factory(_engine_config(cfg))
-    history: List = []  # retained only for static rebuilds and oracle checks
+    # the capacity ledger the oracle reads; the static baseline keeps its own
+    store = GraphStore(cfg.alpha) if cfg.static_baseline else engine.store
+    history: List = []  # retained only for static rebuilds
     records: List[QueryRecord] = []
     schedule = QuerySchedule(cfg.query_interval)
     prev_involved: Optional[frozenset] = None
     seg_events_base = 0
     seg_clock_base = time.perf_counter()
-    static_graph = StaticGraph() if (cfg.static_baseline or cfg.oracle_check) else None
     write_header(out, cfg.output_format)
 
     def events_ingested() -> int:
         return len(history) if cfg.static_baseline else engine.events_ingested
 
     def ingest(ev) -> None:
-        if static_graph is not None:
-            key = (ev.src, ev.dst)
-            cap = static_graph.caps.get(key, 0) + ev.delta
-            if cap < 0:
-                raise StreamValidityError(
-                    f"edge {key}: cumulative capacity would become {cap}"
-                )
-            static_graph.caps[key] = cap
-            static_graph.vertices.add(ev.src)
-            static_graph.vertices.add(ev.dst)
         if cfg.static_baseline:
+            store.apply_edge(ev)
+            store.note_vertices(ev.src, ev.dst)
             history.append(ev)
         else:
             engine.ingest(ev)
@@ -168,7 +158,7 @@ def run_cli(
         seg_events = events_ingested() - seg_events_base
         res = static_query(trigger_ts) if cfg.static_baseline else engine.query(trigger_ts)
         if cfg.oracle_check:
-            want, _ = max_flow_reference(static_graph, cfg.source, cfg.sink)
+            want, _ = max_flow_reference(store.snapshot(), cfg.source, cfg.sink)
             if want != res.flow_value:
                 raise _OracleMismatch(res.flow_value, want, trigger_ts)
         stability = (
@@ -195,7 +185,7 @@ def run_cli(
     last_ts = 0
     try:
         try:
-            stream = read_event_log(fh, stream_cfg)
+            stream = read_event_log(fh, _stream_config(cfg))
             if cfg.window is not None:
                 stream = sliding_window_transform(stream, cfg.window)
             if cfg.offered_rate is not None:

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Set, Tuple
-
-from .events import TopologyEvent
+from typing import Dict, Set, Tuple
 
 __all__ = ["StaticGraph", "max_flow_reference", "throughflow_vertices"]
 
@@ -25,23 +23,6 @@ class StaticGraph:
 
     caps: Dict[Pair, int] = field(default_factory=dict)
     vertices: Set[int] = field(default_factory=set)
-
-    @property
-    def vertex_count(self) -> int:
-        return len(self.vertices)
-
-    @classmethod
-    def from_events(cls, events: Iterable[TopologyEvent]) -> "StaticGraph":
-        g = cls()
-        for ev in events:
-            g.vertices.add(ev.src)
-            g.vertices.add(ev.dst)
-            key = (ev.src, ev.dst)
-            cap = g.caps.get(key, 0) + ev.delta
-            if cap < 0:
-                raise ValueError(f"cumulative capacity of {key} driven negative")
-            g.caps[key] = cap
-        return g
 
 
 def max_flow_reference(g: StaticGraph, s: int, t: int) -> Tuple[int, Dict[Pair, int]]:

@@ -18,6 +18,11 @@ Two execution modes share all of the above:
   and the global-relabel clock counts handler runs (scheduler steps)
   instead of wall time.
 
+A global relabel runs the phases drain, relabel-up, relabel-down and
+normal. Each worker's share of a phase is ``Worker.enter_phase``; the
+threaded coordinator sends it as a control item behind a barrier, the
+seeded engine calls it inline between its drains.
+
 Replay contract of the deterministic mode: the same seed and the same
 configuration, fed the same events and queries, give the same schedule,
 the same work counts (messages sent and received, topology events, lifts,
@@ -333,6 +338,35 @@ class Worker:
                 return True
         return False
 
+    # -- global relabel ------------------------------------------------------
+
+    def enter_phase(self, phase: str, n_projected: int) -> None:
+        """This worker's share of a global-relabel phase: drain parks lifts
+        and topology, relabel-up resets heights, relabel-down parks pushes
+        and starts the descent, normal resumes all and discharges parked
+        excess."""
+        ctx = self.ctx
+        out: list = []
+        if phase == PHASE_DRAIN:
+            ctx.lift_enabled = False
+            self.topo_enabled = False
+        elif phase == PHASE_RELABEL_UP:
+            for v in self.vertices.values():
+                vx.relabel_up(v, n_projected)
+        elif phase == PHASE_RELABEL_DOWN:
+            ctx.push_enabled = False
+            for v in self.vertices.values():
+                vx.broadcast_height_if_needed(v, out)
+        elif phase == PHASE_NORMAL:
+            ctx.push_enabled = True
+            ctx.lift_enabled = True
+            self.topo_enabled = True
+            for v in self.vertices.values():
+                if v.excess != 0:
+                    vx.discharge(v, ctx, out)
+                    vx.broadcast_height_if_needed(v, out)
+        self.route(out)
+
     # -- threaded execution -------------------------------------------------
 
     def run_thread(self) -> None:
@@ -355,26 +389,7 @@ class Worker:
 
     def _handle_control(self, item) -> None:
         phase, n_projected, barrier = item
-        out: list = []
-        if phase == PHASE_DRAIN:
-            self.ctx.lift_enabled = False
-            self.topo_enabled = False
-        elif phase == PHASE_RELABEL_UP:
-            for v in self.vertices.values():
-                vx.relabel_up(v, n_projected)
-        elif phase == PHASE_RELABEL_DOWN:
-            self.ctx.push_enabled = False
-            for v in self.vertices.values():
-                vx.broadcast_height_if_needed(v, out)
-        elif phase == PHASE_NORMAL:
-            self.ctx.push_enabled = True
-            self.ctx.lift_enabled = True
-            self.topo_enabled = True
-            for v in self.vertices.values():
-                if v.excess != 0:
-                    vx.discharge(v, self.ctx, out)
-                    vx.broadcast_height_if_needed(v, out)
-        self.route(out)
+        self.enter_phase(phase, n_projected)
         barrier.ack()
 
 
@@ -651,10 +666,10 @@ class SimEngine(Engine):
         if gr.phase != PHASE_NORMAL:
             raise RuntimeError("relabel already in progress")
         t0 = self._now_ms()
+        np_ = self.store.n_projected
         gr.advance(PHASE_DRAIN)
         for w in self.workers:
-            w.ctx.lift_enabled = False
-            w.topo_enabled = False
+            w.enter_phase(PHASE_DRAIN, np_)
         self._run_steps(None)  # topology is disabled: drains messages only
 
         excess_before = None
@@ -662,10 +677,8 @@ class SimEngine(Engine):
             excess_before = {vid: v.excess for vid, v in self.vertices_items()}
 
         gr.advance(PHASE_RELABEL_UP)
-        np_ = self.store.n_projected
         for w in self.workers:
-            for v in w.vertices.values():
-                vx.relabel_up(v, np_)
+            w.enter_phase(PHASE_RELABEL_UP, np_)
 
         ceilings = None
         if self.debug:
@@ -675,12 +688,7 @@ class SimEngine(Engine):
 
         gr.advance(PHASE_RELABEL_DOWN)
         for w in self.workers:
-            w.ctx.push_enabled = False
-        for w in self.workers:
-            out: list = []
-            for v in w.vertices.values():
-                vx.broadcast_height_if_needed(v, out)
-            w.route(out)
+            w.enter_phase(PHASE_RELABEL_DOWN, np_)
         self._run_steps(None)  # topology is disabled: drains messages only
 
         if self.debug:
@@ -696,16 +704,7 @@ class SimEngine(Engine):
         gr.advance(PHASE_NORMAL)
         gr.finish(self._now_ms(), t0, self._total_lifts())
         for w in self.workers:
-            w.ctx.push_enabled = True
-            w.ctx.lift_enabled = True
-            w.topo_enabled = True
-        for w in self.workers:
-            out = []
-            for v in w.vertices.values():
-                if v.excess != 0:
-                    vx.discharge(v, w.ctx, out)
-                    vx.broadcast_height_if_needed(v, out)
-            w.route(out)
+            w.enter_phase(PHASE_NORMAL, np_)
         return snap
 
     def _capture_snapshot(self) -> GrSnapshot:

@@ -69,8 +69,7 @@ class InvariantViolation(RuntimeError):
 class Msg:
     """Inter-vertex message: a flow amount or a capacity offset, plus the
     sender's heights. A height the receiver cannot use arrives as the INF
-    sentinel (see :func:`_send`); ``None`` means "keep the old mirror" and
-    appears only in hand-built messages.
+    sentinel (see :func:`_send`), so both mirrors are overwritten on receipt.
 
     ``spos`` is the sender's slot in the receiver's neighbour table when the
     sender knows it (-1 otherwise); ``rpos`` is the receiver's slot in the
@@ -166,9 +165,6 @@ class VertexState:
         self.last_bcast_neg = self.height_neg
         self.pending_dirty: List[int] = []
         self.in_handler = False
-
-    def degree(self) -> int:
-        return len(self.nbr_ids)
 
     def __repr__(self):  # pragma: no cover - debugging aid
         t = {SOURCE: "S", SINK: "T", NORMAL: "N"}[self.vtype]
@@ -425,10 +421,8 @@ def on_message_received(
             _send(v, i, FLOW, 0, out)  # reply so the sender learns our heights
     if m.rpos >= 0:
         v.peer_pos[i] = m.rpos
-    if m.hpos is not None:
-        v.mirror_hpos[i] = m.hpos
-    if m.hneg is not None:
-        v.mirror_hneg[i] = m.hneg
+    v.mirror_hpos[i] = m.hpos
+    v.mirror_hneg[i] = m.hneg
 
     res_in = v.res_in
     if m.kind == CAP_OFFSET:

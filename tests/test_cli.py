@@ -14,6 +14,7 @@ from liveflow.cli import (
     main,
     run_cli,
 )
+from liveflow.relabel import GrTunables
 from liveflow.runtime import create_engine
 
 DIAMOND_LOG = """\
@@ -111,10 +112,36 @@ class TestRunCli:
         assert code == EXIT_ORACLE
         assert "mismatch" in err.getvalue()
 
-    def test_config_error_exit(self, tmp_path):
-        code, _, err = run(tmp_path, DIAMOND_LOG, sink=0)
+    @pytest.mark.parametrize("static_baseline", [False, True], ids=["engine", "static"])
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            pytest.param(dict(sink=0), "source and sink must differ", id="sink"),
+            pytest.param(dict(workers=0), "need at least one worker", id="workers"),
+            pytest.param(dict(alpha=1.0), "projection factor must exceed 1", id="alpha"),
+            pytest.param(dict(window=0), "window size must be positive", id="window"),
+            pytest.param(dict(offered_rate=0), "offered rate must be positive", id="offered_rate"),
+            pytest.param(
+                dict(gr=GrTunables(lift_threshold=0)),
+                "lift threshold must be positive",
+                id="lift_threshold",
+            ),
+            pytest.param(
+                dict(gr=GrTunables(time_factor=0)), "time factor must be positive", id="time_factor"
+            ),
+            pytest.param(
+                dict(gr=GrTunables(min_interval_ms=0)),
+                "minimum interval must be positive",
+                id="min_interval_ms",
+            ),
+            pytest.param(dict(query_interval=0), "query interval must be positive", id="query_interval"),
+            pytest.param(dict(output_format="xml"), "unknown output format 'xml'", id="format"),
+        ],
+    )
+    def test_config_error_exit(self, tmp_path, bad, message, static_baseline):
+        code, _, err = run(tmp_path, DIAMOND_LOG, static_baseline=static_baseline, **bad)
         assert code == EXIT_CONFIG
-        assert "configuration error" in err
+        assert f"configuration error: {message}" in err
 
     def test_missing_input_file(self):
         cfg = RunConfig(
@@ -131,9 +158,15 @@ class TestRunCli:
         assert code == EXIT_ERROR
         assert "line 2" in err
 
-    def test_delete_invalid_stream_exit(self, tmp_path):
-        code, _, _ = run(tmp_path, "a 0 1 2 5\nd 1 1 2 9\n")
+    @pytest.mark.parametrize(
+        "mode",
+        [dict(), dict(oracle_check=True), dict(static_baseline=True)],
+        ids=["engine", "oracle_check", "static_baseline"],
+    )
+    def test_delete_invalid_stream_exit(self, tmp_path, mode):
+        code, _, err = run(tmp_path, "a 0 1 2 5\nd 1 1 2 9\n", **mode)
         assert code == EXIT_ERROR
+        assert "cumulative capacity would become" in err
 
     def test_offered_rate_paces_the_run(self, tmp_path):
         code, records, _ = run(tmp_path, DIAMOND_LOG, offered_rate=50_000.0)

@@ -22,7 +22,7 @@ from test_vertex_ops import flows, make_vertex, wire
 SRC_ID = 100
 
 
-def msg(sender, kind, amount, hpos=None, hneg=None, spos=-1, rpos=0):
+def msg(sender, kind, amount, hpos=INF, hneg=INF, spos=-1, rpos=0):
     return Msg(sender, spos, rpos, kind, amount, hpos, hneg)
 
 
@@ -35,7 +35,7 @@ class TestOnEdgeChanged:
         v = make_vertex(vid=3, excess=5, hpos=2)
         out = []
         assert on_edge_changed(v, 3, 7, OpContext(), out, SRC_ID) == -1
-        assert out == [] and v.degree() == 0 and v.excess == 5
+        assert out == [] and len(v.nbr_ids) == 0 and v.excess == 5
 
     def test_edge_into_source_ignored(self):
         v = make_vertex(vid=3)
@@ -129,18 +129,11 @@ class TestOnMessageReceived:
         assert v.excess == 0
         assert out == []
 
-    def test_suppressed_heights_keep_old_mirrors(self):
-        v = make_vertex(vid=5)
-        i = wire(v, 7, mhpos=6, mhneg=8)
-        on_message_received(v, msg(7, FLOW, 0, hpos=None, hneg=None, spos=i), OpContext(), [])
-        assert v.mirror_hpos[i] == 6
-        assert v.mirror_hneg[i] == 8
-
     def test_unknown_sender_is_materialized_and_greeted(self):
         v = make_vertex(vid=5)
         out = []
         on_message_received(v, msg(31, FLOW, 0, hpos=1), OpContext(), out)
-        assert v.degree() == 1
+        assert len(v.nbr_ids) == 1
         assert v.nbr_ids[0] == 31
         assert [dst for dst, _ in out] == [31]
 

@@ -4,8 +4,9 @@ from collections import defaultdict
 import pytest
 
 from helpers import brute_force_unit_max_flow
-from liveflow import TopologyEvent
+from liveflow import StreamValidityError, TopologyEvent
 from liveflow.oracle import StaticGraph, max_flow_reference, throughflow_vertices
+from liveflow.runtime import GraphStore
 
 
 def graph(*triples):
@@ -49,12 +50,20 @@ def test_self_loops_ignored():
     assert value == 4
 
 
+def store_graph(events):
+    """The capacity ledger's frozen snapshot after ``events``."""
+    store = GraphStore(alpha=1.1)
+    for ev in events:
+        store.apply_edge(ev)
+        store.note_vertices(ev.src, ev.dst)
+    return store.snapshot()
+
+
 def test_from_events_aggregates_and_validates():
     events = [TopologyEvent(0, 1, 2, 3), TopologyEvent(1, 1, 2, 4), TopologyEvent(2, 1, 2, -5)]
-    g = StaticGraph.from_events(events)
-    assert g.caps[(1, 2)] == 2
-    with pytest.raises(ValueError):
-        StaticGraph.from_events([TopologyEvent(0, 1, 2, -1)])
+    assert store_graph(events).caps[(1, 2)] == 2
+    with pytest.raises(StreamValidityError, match="cumulative capacity would become -1"):
+        store_graph([TopologyEvent(0, 1, 2, -1)])
 
 
 def _check_flow_is_valid(g, s, t, value, flow):
@@ -95,11 +104,11 @@ def test_value_invariant_under_event_permutation():
         TopologyEvent(i, rng.randrange(8), rng.randrange(8), rng.randint(1, 6))
         for i in range(30)
     ]
-    base, _ = max_flow_reference(StaticGraph.from_events(events), 0, 7)
+    base, _ = max_flow_reference(store_graph(events), 0, 7)
     for _ in range(10):
         shuffled = events[:]
         rng.shuffle(shuffled)
-        value, _ = max_flow_reference(StaticGraph.from_events(shuffled), 0, 7)
+        value, _ = max_flow_reference(store_graph(shuffled), 0, 7)
         assert value == base
 
 

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from helpers import expected_heights, random_delete_valid_stream
-from liveflow import TopologyEvent
+from liveflow import TopologyEvent, max_flow_reference
 from liveflow.relabel import (
     PHASE_DRAIN,
     PHASE_NORMAL,
@@ -13,7 +13,7 @@ from liveflow.relabel import (
     GrTunables,
     check_trigger,
 )
-from liveflow.runtime import EngineConfig, SimEngine
+from liveflow.runtime import EngineConfig, SimEngine, ThreadedEngine
 from liveflow.vertex import INF, NORMAL, SINK, SOURCE, VertexState, relabel_up
 
 
@@ -165,6 +165,32 @@ class TestGlobalRelabelRuns:
         eng.force_global_relabel()
         assert eng.gr.runs == 1
         assert eng.gr.last_gr_end_ms >= end_before
+
+    def test_threaded_forced_relabel_keeps_flow_and_invariants(self):
+        rng = random.Random(51)  # positive flow on both halves, and it changes
+        s, t, events = random_delete_valid_stream(rng, max_vertices=12, max_events=120)
+        cut = len(events) // 2
+        # triggers out of reach: the forced run is the only one
+        tunables = GrTunables(lift_threshold=10**9, min_interval_ms=3_600_000.0)
+        eng = ThreadedEngine(
+            EngineConfig(source=s, sink=t, workers=3, gr=tunables, debug=True)
+        )
+        try:
+            for ev in events[:cut]:
+                eng.ingest(ev)
+            want, _ = max_flow_reference(eng.snapshot_static(), s, t)
+            assert eng.query().flow_value == want > 0
+            runs = eng.gr.runs
+            eng.force_global_relabel()
+            for ev in events[cut:]:
+                eng.ingest(ev)  # lands after the relabel: needs topology and pushes back
+            got = eng.query().flow_value
+            assert eng.gr.runs == runs + 1
+            want, _ = max_flow_reference(eng.snapshot_static(), s, t)
+            assert got == want > 0
+            assert eng.scan_invariants() == []
+        finally:
+            eng.close()
 
 
 class TestExactnessOnRandomStates:

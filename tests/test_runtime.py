@@ -200,7 +200,7 @@ class TestRouting:
         before = w.msg_received
         w.message_run(0)  # one run consumes the whole same-destination batch
         assert w.msg_received - before == 5
-        assert eng.workers[0].vertices[7].degree() == 5
+        assert len(eng.workers[0].vertices[7].nbr_ids) == 5
 
     def test_topology_priority(self):
         eng = sim(workers=1, seed=3)
