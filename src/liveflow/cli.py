@@ -255,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="SEED",
-        help="single-threaded seeded scheduling for reproducible runs",
+        help="seeded scheduling on the calling thread, for reproducible runs",
     )
     p.add_argument("--alpha", type=float, default=1.1, metavar="F")
     p.add_argument("--gr-lift-threshold", type=int, default=None, metavar="N")

@@ -4,24 +4,23 @@ Vertices are partitioned over workers by id modulo worker count. Each worker
 owns a topology FIFO plus one message FIFO per sending worker (so per
 ordered worker pair, messages arrive in send order), and never touches
 another worker's vertices. Topology events are prioritized over algorithmic
-messages. A single coordinator drives global-relabel phases and query
-barriers.
+messages. The workers are logical: one seeded scheduler
+(``SimEngine._run_steps``) interleaves them, and ``SimEngine._run_gr`` is the
+only global-relabel driver.
 
-Two execution modes share all of the above:
+Two execution modes run that same code:
 
-* threaded: one OS thread per worker; quiescence is detected from
-  monotonic sent/received counters read twice consistently (received is
-  incremented only after a handler fully completes, so an in-flight
-  handler keeps the counts apart).
-* deterministic (seeded): no threads; a seeded scheduler interleaves the
-  logical workers in quanta of up to QUANTUM handler runs on one worker,
-  and the global-relabel clock counts handler runs (scheduler steps)
-  instead of wall time.
+* deterministic (seeded): the caller's thread runs the scheduler whenever it
+  pumps or queries, and the global-relabel clock counts handler runs
+  (scheduler steps) instead of wall time.
+* threaded (default): one background thread pumps while the caller keeps
+  ingesting; its scheduler is seeded from OS entropy and its relabel clock
+  is wall time. A query waits until the thread is idle with every queue
+  empty, which is quiescence.
 
 A global relabel runs the phases drain, relabel-up, relabel-down and
-normal. Each worker's share of a phase is ``Worker.enter_phase``; the
-threaded coordinator sends it as a control item behind a barrier, the
-seeded engine calls it inline between its drains.
+normal. Each worker's share of a phase is ``Worker.enter_phase``, called
+inline between the relabel's drains.
 
 Replay contract of the deterministic mode: the same seed and the same
 configuration, fed the same events and queries, give the same schedule,
@@ -182,12 +181,10 @@ class Worker:
         "ctx",
         "topo",
         "chans",
-        "control",
         "topo_enabled",
         "msg_sent",
         "msg_received",
         "topo_received",
-        "_rr",
         "_seq_out",
         "_seq_in",
     )
@@ -199,12 +196,10 @@ class Worker:
         self.ctx = vx.OpContext()
         self.topo = deque()
         self.chans = [deque() for _ in range(nworkers)]
-        self.control = deque()
         self.topo_enabled = True
         self.msg_sent = 0
         self.msg_received = 0
         self.topo_received = 0
-        self._rr = 0
         self._seq_out = [0] * nworkers
         self._seq_in = [0] * nworkers
 
@@ -327,17 +322,6 @@ class Worker:
         self.route(out)
         self.msg_received += count
 
-    def try_message_run(self) -> bool:
-        n = len(self.chans)
-        start = self._rr
-        for k in range(n):
-            ci = (start + k) % n
-            if self.chans[ci]:
-                self._rr = ci + 1
-                self.message_run(ci)
-                return True
-        return False
-
     # -- global relabel ------------------------------------------------------
 
     def enter_phase(self, phase: str, n_projected: int) -> None:
@@ -367,56 +351,9 @@ class Worker:
                     vx.broadcast_height_if_needed(v, out)
         self.route(out)
 
-    # -- threaded execution -------------------------------------------------
-
-    def run_thread(self) -> None:
-        eng = self.engine
-        idle = 0
-        while not eng._stop:
-            if self.control:
-                self._handle_control(self.control.popleft())
-                idle = 0
-                continue
-            if self.topo_enabled and self.topo:
-                self.topo_run()
-                idle = 0
-                continue
-            if self.try_message_run():
-                idle = 0
-                continue
-            idle += 1
-            time.sleep(0.00005 if idle < 16 else 0.001)
-
-    def _handle_control(self, item) -> None:
-        phase, n_projected, barrier = item
-        self.enter_phase(phase, n_projected)
-        barrier.ack()
-
-
-class _Barrier:
-    def __init__(self, n: int):
-        self.n = n
-        self.count = 0
-        self.cond = threading.Condition()
-
-    def ack(self) -> None:
-        with self.cond:
-            self.count += 1
-            self.cond.notify_all()
-
-    def wait(self, should_stop=None) -> bool:
-        with self.cond:
-            while self.count < self.n:
-                if should_stop is not None and should_stop():
-                    return False
-                self.cond.wait(0.05)
-        return True
-
 
 class Engine:
     """Shared engine core: ingestion, counters, extraction, quiescence."""
-
-    deterministic = False
 
     def __init__(self, config: EngineConfig):
         config.validate()
@@ -431,7 +368,6 @@ class Engine:
         self.topo_sent = 0
         self.events_ingested = 0
         self.last_event_ts = 0
-        self._stop = False
         np0 = self.store.note_vertices(self.source, self.sink)
         if np0:
             self._schedule_newmax(np0)
@@ -469,32 +405,25 @@ class Engine:
             tr += w.topo_received
         return ms, mr, tr
 
-    def _queues_empty(self, include_topo: bool = True) -> bool:
+    def _queues_empty(self) -> bool:
         for w in self.workers:
-            if include_topo and w.topo:
+            if w.topo:
                 return False
             for c in w.chans:
                 if c:
                     return False
         return True
 
-    def _quiescent_once(self) -> bool:
-        ms, mr, tr = self._counters()
-        return ms == mr and tr == self.topo_sent and self._queues_empty()
-
-    def _quiescent_twice(self) -> bool:
-        first = self._counters()
-        if not (first[0] == first[1] and first[2] == self.topo_sent):
-            return False
-        if not self._queues_empty():
-            return False
-        second = self._counters()
-        return second == first and self._queues_empty()
-
     def detect_quiescence(self) -> bool:
-        """Sound check: True only when no queued or in-flight message or
-        event exists anywhere (two consistent observations)."""
-        return self.gr.phase == PHASE_NORMAL and self._quiescent_twice()
+        """True only when no queued or in-flight message or event exists
+        anywhere (received counts rise only after a handler run completes)."""
+        ms, mr, tr = self._counters()
+        return (
+            self.gr.phase == PHASE_NORMAL
+            and ms == mr
+            and tr == self.topo_sent
+            and self._queues_empty()
+        )
 
     # -- extraction ----------------------------------------------------------
 
@@ -547,7 +476,7 @@ class Engine:
     # -- lifecycle ------------------------------------------------------------
 
     def close(self) -> None:
-        self._stop = True
+        """Stop the engine's execution; the seeded engine has nothing to stop."""
 
     def __enter__(self):
         return self
@@ -558,8 +487,8 @@ class Engine:
 
 
 class SimEngine(Engine):
-    """Deterministic single-threaded engine with seeded scheduling over
-    logical workers. The relabel clock counts scheduler steps."""
+    """Deterministic engine: seeded scheduling over logical workers on the
+    caller's thread. The relabel clock counts scheduler steps."""
 
     deterministic = True
 
@@ -567,6 +496,7 @@ class SimEngine(Engine):
         super().__init__(config)
         self.rng = random.Random(config.deterministic_seed)
         self._steps = 0
+        self.gr.last_gr_end_ms = self._now_ms()
         self.pump()  # settle the startup source/sink height events
 
     def _now_ms(self) -> float:
@@ -699,7 +629,7 @@ class SimEngine(Engine):
                 if v.height_pos > hp or v.height_neg > hn:
                     raise RuntimeError(f"non-monotone descent at vertex {vid}")
 
-        snap = self._capture_snapshot() if capture else None
+        snap = self._capture_snapshot(np_) if capture else None
 
         gr.advance(PHASE_NORMAL)
         gr.finish(self._now_ms(), t0, self._total_lifts())
@@ -707,7 +637,7 @@ class SimEngine(Engine):
             w.enter_phase(PHASE_NORMAL, np_)
         return snap
 
-    def _capture_snapshot(self) -> GrSnapshot:
+    def _capture_snapshot(self, n_projected: int) -> GrSnapshot:
         hpos: Dict[int, int] = {}
         hneg: Dict[int, int] = {}
         residual: Dict[Tuple[int, int], int] = {}
@@ -722,130 +652,95 @@ class SimEngine(Engine):
             for i in range(len(ids)):
                 if res_out[i] > 0:
                     residual[(vid, ids[i])] = res_out[i]
-        return GrSnapshot(hpos, hneg, residual, deficits, self.store.n_projected)
+        return GrSnapshot(hpos, hneg, residual, deficits, n_projected)
 
 
-class ThreadedEngine(Engine):
-    """One thread per worker plus a coordinator thread for relabel phases."""
+class ThreadedEngine(SimEngine):
+    """The seeded engine's loop on one background thread, beside ingestion.
+
+    The thread pumps in batches of PROBE_EVERY steps and runs forced
+    relabels between batches. With every queue empty it marks itself idle
+    and waits on ``_cond``; ``ingest`` (when the thread is idle), ``query``,
+    ``force_global_relabel`` and ``close`` wake it. The scheduler's generator
+    is seeded from OS entropy and the relabel clock is wall time."""
 
     deterministic = False
 
     def __init__(self, config: EngineConfig):
         super().__init__(config)
-        self.gr.last_gr_end_ms = self._now_ms()
-        self._lock = threading.Lock()
-        self._force_gr = False
-        self._threads = [
-            threading.Thread(target=w.run_thread, daemon=True, name=f"liveflow-w{w.wid}")
-            for w in self.workers
-        ]
-        self._coord = threading.Thread(
-            target=self._coordinator_loop, daemon=True, name="liveflow-coord"
-        )
-        for t in self._threads:
-            t.start()
-        self._coord.start()
+        self._cond = threading.Condition()
+        self._idle = False
+        self._stop = False
+        self._force: Optional[bool] = None   # capture flag of a requested relabel
+        self._snap: Optional[GrSnapshot] = None
+        self._thread = threading.Thread(target=self._serve, daemon=True, name="liveflow")
+        self._thread.start()
 
     def _now_ms(self) -> float:
         return time.monotonic() * 1000.0
 
-    # -- coordinator -----------------------------------------------------------
-
-    def _coordinator_loop(self) -> None:
-        poll_s = min(self.gr.tunables.min_interval_ms / 4.0, 10.0) / 1000.0
+    def _serve(self) -> None:
+        cond = self._cond
         while not self._stop:
-            time.sleep(poll_s)
-            start = False
-            with self._lock:
-                if self.gr.phase == PHASE_NORMAL:
-                    backlog = not self._quiescent_once()
-                    if self._force_gr or (
-                        backlog
-                        and check_trigger(
-                            self.gr,
-                            self._now_ms(),
-                            self._total_lifts(),
-                            self.store.n_max,
-                        )
-                    ):
-                        self._force_gr = False
-                        self.gr.advance(PHASE_DRAIN)
-                        start = True
-            if start:
-                self._run_gr_threaded()
+            capture = self._force
+            if capture is not None:
+                snap = self._run_gr(capture)
+                with cond:
+                    self._snap, self._force = snap, None
+                    cond.notify_all()
+            elif self.pump(PROBE_EVERY) < PROBE_EVERY:
+                with cond:
+                    # Idle is set before the queues are read and ingest
+                    # appends before it reads idle, so an event appended
+                    # after this check always finds the thread idle.
+                    self._idle = True
+                    while self._force is None and not self._stop and self._queues_empty():
+                        cond.notify_all()
+                        cond.wait()
+                    self._idle = False
 
-    def _barrier(self, phase: str) -> bool:
-        barrier = _Barrier(self.nworkers)
-        np_ = self.store.n_projected
-        for w in self.workers:
-            w.control.append((phase, np_, barrier))
-        return barrier.wait(should_stop=lambda: self._stop)
+    def ingest(self, ev: TopologyEvent) -> None:
+        super().ingest(ev)
+        if self._idle:
+            with self._cond:
+                self._cond.notify_all()
 
-    def _wait_messages_drained(self) -> None:
-        while not self._stop:
-            ms, mr, _ = self._counters()
-            if ms == mr and self._queues_empty(include_topo=False):
-                ms2, mr2, _ = self._counters()
-                if (ms2, mr2) == (ms, mr) and self._queues_empty(include_topo=False):
-                    return
-            time.sleep(0.0002)
+    def detect_quiescence(self) -> bool:
+        """True when the thread waits idle and every queue is empty."""
+        with self._cond:
+            return self._idle and self._queues_empty()
 
-    def _run_gr_threaded(self) -> None:
-        t0 = self._now_ms()
-        if not self._barrier(PHASE_DRAIN):
-            return  # engine is closing mid-relabel
-        self._wait_messages_drained()
-        self.gr.advance(PHASE_RELABEL_UP)
-        if not self._barrier(PHASE_RELABEL_UP):
-            return
-        self.gr.advance(PHASE_RELABEL_DOWN)
-        if not self._barrier(PHASE_RELABEL_DOWN):
-            return
-        self._wait_messages_drained()
-        # Reactivate parked excess before the phase reads NORMAL again;
-        # otherwise a query could observe a drained-but-unfinished engine
-        # as quiescent and extract a mid-relabel flow value.
-        if not self._barrier(PHASE_NORMAL):
-            return
-        self.gr.advance(PHASE_NORMAL)
-        self.gr.finish(self._now_ms(), t0, self._total_lifts())
-
-    def force_global_relabel(self, capture: bool = False) -> None:
-        if capture:
-            raise ValueError("height capture requires the deterministic engine")
-        runs = self.gr.runs
-        self._force_gr = True
-        while self.gr.runs == runs and not self._stop:
-            time.sleep(0.001)
-
-    # -- queries ----------------------------------------------------------------
+    def force_global_relabel(self, capture: bool = False) -> Optional[GrSnapshot]:
+        """Run a full global relabel on the background thread between two
+        scheduler batches, even with work queued, and wait for it."""
+        with self._cond:
+            self._force = capture
+            self._cond.notify_all()
+            while self._force is not None:
+                self._cond.wait()
+            return self._snap
 
     def query(self, trigger_ts: Optional[int] = None) -> QueryResult:
         req = QueryRequest(
             trigger_ts if trigger_ts is not None else self.last_event_ts,
             time.perf_counter(),
         )
-        while True:
-            if self.gr.phase != PHASE_NORMAL:
-                time.sleep(0.0002)
-                continue
-            if self._quiescent_once():
-                with self._lock:
-                    if self.gr.phase == PHASE_NORMAL and self._quiescent_twice():
-                        return self._extract(req)
-            else:
-                time.sleep(0.0002)
+        with self._cond:
+            self._cond.notify_all()
+            while not self.detect_quiescence():
+                self._cond.wait()
+            return self._extract(req)
 
     def close(self) -> None:
-        self._stop = True
-        for t in self._threads:
-            t.join(timeout=2.0)
-        self._coord.join(timeout=2.0)
+        with self._cond:
+            self._stop = True
+            self._cond.notify_all()
+        self._thread.join(timeout=2.0)
 
 
 def create_engine(config: EngineConfig) -> Engine:
-    """Deterministic seeded engine when a seed is configured, threaded
-    otherwise."""
+    """Deterministic seeded engine when a seed is configured, else the same
+    engine pumped by one background thread."""
     if config.deterministic_seed is not None:
         return SimEngine(config)
     return ThreadedEngine(config)

@@ -302,8 +302,8 @@ def test_criterion_09_throughput_scaling_direction():
         _report(9, "throughput scaling direction", status="WARN", detail=detail + "; <4 cores")
         warnings.warn(f"scaling check is diagnostic only on this host: {detail}")
     elif ratio < 1.5:
-        # diagnostic on constrained interpreters: CPython's lock serializes
-        # the workers, so the parallel speedup cannot materialize here
+        # diagnostic only: the workers are logical and share one background
+        # thread, so more of them add scheduling work, not parallelism
         _report(9, "throughput scaling direction", status="WARN", detail=detail)
         warnings.warn(f"scaling below 1.5x: {detail}")
     else:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import expected_heights, random_delete_valid_stream
+from helpers import expected_heights, growth_stream, random_delete_valid_stream
 from liveflow import TopologyEvent, max_flow_reference
 from liveflow.relabel import (
     PHASE_DRAIN,
@@ -191,6 +191,29 @@ class TestGlobalRelabelRuns:
             assert eng.scan_invariants() == []
         finally:
             eng.close()
+
+    def test_threaded_relabel_with_backlog_gives_exact_heights(self):
+        # The background thread is still working off the stream when the
+        # relabel is forced, so excess is in flight and heights are stale:
+        # only a real relabel-up and descent give the exact distances.
+        events = growth_stream(random.Random(52), events=3000, vertices=60)
+        tunables = GrTunables(lift_threshold=10**9, min_interval_ms=3_600_000.0)
+        eng = ThreadedEngine(EngineConfig(source=0, sink=1, workers=3, gr=tunables))
+        try:
+            for ev in events:
+                eng.ingest(ev)
+            backlog = not eng._queues_empty()
+            snap = eng.force_global_relabel(capture=True)
+            hexp, nexp = expected_heights(snap, 0, 1, set(snap.height_pos))
+            assert snap.height_pos == hexp
+            assert snap.height_neg == nexp
+            got = eng.query().flow_value
+            want, _ = max_flow_reference(eng.snapshot_static(), 0, 1)
+            assert got == want > 0
+            assert eng.gr.runs == 1
+        finally:
+            eng.close()
+        assert backlog, "the stream drained before the forced relabel"
 
 
 class TestExactnessOnRandomStates:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_add_stream
+from helpers import growth_stream, random_add_stream
 from liveflow import TopologyEvent, max_flow_reference, vertex
 from liveflow.runtime import (
     EngineConfig,
@@ -284,6 +284,48 @@ class TestQuery:
         for ev in DIAMOND:
             eng.ingest(ev)
         assert eng.query().events_ingested == 5
+
+
+class TestBackgroundThread:
+    def test_alternating_ingest_and_query_never_loses_a_wake_up(self):
+        # Each query finds the thread either busy or idle with one fresh
+        # event queued; a wake-up lost in either case leaves the query
+        # waiting forever, so the rounds run on a thread with a deadline.
+        events = growth_stream(random.Random(77), events=300, vertices=20, st_edge_prob=0.1)
+        eng = ThreadedEngine(EngineConfig(source=0, sink=1, workers=2))
+        flows, wants = [], []
+
+        def rounds():
+            for ev in events:
+                eng.ingest(ev)
+                flows.append(eng.query().flow_value)
+                wants.append(max_flow_reference(eng.snapshot_static(), 0, 1)[0])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave ingest and the thread finely
+        t = threading.Thread(target=rounds, daemon=True)
+        try:
+            t.start()
+            t.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+            eng.close()
+        assert not t.is_alive(), f"round {len(flows)} of {len(events)} never returned"
+        assert flows == wants
+        assert flows[-1] > 0
+
+    @pytest.mark.parametrize("backlog", [0, 2000])
+    def test_close_stops_the_thread(self, backlog):
+        eng = ThreadedEngine(EngineConfig(source=0, sink=1, workers=2))
+        for ev in growth_stream(random.Random(78), events=50, vertices=20):
+            eng.ingest(ev)
+        eng.query()  # the thread is idle now
+        for ev in growth_stream(random.Random(79), events=backlog, vertices=200):
+            eng.ingest(ev)
+        started = time.monotonic()
+        eng.close()
+        assert not eng._thread.is_alive()
+        assert time.monotonic() - started < 1.0
 
 
 class TestInvariantScan:
