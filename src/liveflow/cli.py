@@ -260,7 +260,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=1.1, metavar="F")
     p.add_argument("--gr-lift-threshold", type=int, default=None, metavar="N")
     p.add_argument("--gr-time-factor", type=float, default=10.0, metavar="F")
-    p.add_argument("--gr-min-interval", type=float, default=50.0, metavar="MS")
+    p.add_argument(
+        "--gr-min-interval",
+        type=float,
+        default=50.0,
+        metavar="MS",
+        help='minimum time between relabels on the step clock, 50 handler runs per "ms"',
+    )
     p.add_argument("--format", choices=("tsv", "jsonl"), default="tsv")
     p.add_argument(
         "--static-baseline",

@@ -82,7 +82,7 @@ def max_flow_reference(g: StaticGraph, s: int, t: int) -> Tuple[int, Dict[Pair, 
     return value, flow
 
 
-def throughflow_vertices(g: StaticGraph, flow: Dict[Pair, int]) -> Set[int]:
+def throughflow_vertices(flow: Dict[Pair, int]) -> Set[int]:
     """Vertices involved in the flow: both endpoints of every pair carrying
     positive flow. Empty for a zero flow."""
     involved: Set[int] = set()

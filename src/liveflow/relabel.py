@@ -13,7 +13,10 @@ exact residual-graph distance. It runs in four phases:
 
 The trigger fires on a lift budget, or on elapsed time proportional to the
 previous relabel's duration; the time condition keeps relabels prompt even
-when few vertices are active and lifts are rare.
+when few vertices are active and lifts are rare. Time is the engine's step
+clock in both execution modes: handler runs, 50 of them to the "ms"
+(``runtime.SIM_STEPS_PER_MS``), so relabels follow the work done and not
+host speed or idle wall time.
 """
 
 from __future__ import annotations
@@ -68,8 +71,8 @@ class GrState:
     """Phase machine state plus trigger statistics.
 
     ``last_gr_duration_ms`` starts at min_interval/time_factor so the time
-    condition is live from startup. Clock values are supplied by the engine
-    (wall clock for threaded execution, a step clock in deterministic mode).
+    condition is live from startup. Clock values are supplied by the engine:
+    its step clock, which counts handler runs in both execution modes.
     """
 
     tunables: GrTunables = field(default_factory=GrTunables)

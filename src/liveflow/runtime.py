@@ -11,12 +11,14 @@ only global-relabel driver.
 Two execution modes run that same code:
 
 * deterministic (seeded): the caller's thread runs the scheduler whenever it
-  pumps or queries, and the global-relabel clock counts handler runs
-  (scheduler steps) instead of wall time.
+  pumps or queries.
 * threaded (default): one background thread pumps while the caller keeps
-  ingesting; its scheduler is seeded from OS entropy and its relabel clock
-  is wall time. A query waits until the thread is idle with every queue
-  empty, which is quiescence.
+  ingesting; its scheduler is seeded from OS entropy. A query waits until
+  the thread is idle with every queue empty, which is quiescence.
+
+Both modes run the global-relabel time rule on one step clock: handler runs
+(scheduler steps), SIM_STEPS_PER_MS of them to the "ms". Relabel timing
+therefore follows the work done, not host speed or idle wall time.
 
 A global relabel runs the phases drain, relabel-up, relabel-down and
 normal. Each worker's share of a phase is ``Worker.enter_phase``, called
@@ -57,7 +59,6 @@ from .relabel import (
 
 __all__ = [
     "EngineConfig",
-    "QueryRequest",
     "QueryResult",
     "GrSnapshot",
     "StreamValidityError",
@@ -74,7 +75,7 @@ TOPO_NEWMAX = 1
 RUN_CAP = 32              # max handler invocations fused into one run
 QUANTUM = 8               # seeded handler runs per draw on one worker and channel
 PROBE_EVERY = 32          # scheduler steps between relabel-trigger probes
-SIM_STEPS_PER_MS = 50.0   # step clock for the deterministic mode
+SIM_STEPS_PER_MS = 50.0   # handler runs per "ms" of the relabel step clock
 
 
 class StreamValidityError(ValueError):
@@ -99,12 +100,6 @@ class EngineConfig:
         if self.alpha <= 1.0:
             raise ValueError("projection factor must exceed 1")
         self.gr.validate()
-
-
-@dataclass
-class QueryRequest:
-    trigger_ts: int
-    requested_at: float
 
 
 @dataclass
@@ -189,7 +184,7 @@ class Worker:
         "_seq_in",
     )
 
-    def __init__(self, wid: int, nworkers: int, engine: "Engine"):
+    def __init__(self, wid: int, nworkers: int, engine: "SimEngine"):
         self.wid = wid
         self.engine = engine
         self.vertices: Dict[int, vx.VertexState] = {}
@@ -244,14 +239,11 @@ class Worker:
         v.in_handler = True
 
     def _check_message_run(self, ci: int, v: vx.VertexState) -> int:
-        """Debug mode, once per message run: no topology event may be
-        pending in the seeded engine, and the run's messages must carry the
-        channel's next sequence numbers. Returns how many messages were
+        """Debug mode, once per message run: the run's messages must carry
+        the channel's next sequence numbers. Returns how many messages were
         checked; ``message_run`` consumes exactly that many. Only this worker
         pops its channels, so the checked prefix stays put while senders on
         other threads append behind it."""
-        if self.engine.deterministic and self.topo_enabled and self.topo:
-            raise RuntimeError("message consumed while topology events pending")
         self._check_enter(v)
         chan = self.chans[ci]
         dst = v.vid
@@ -289,7 +281,7 @@ class Worker:
             source = self.engine.source
             handle = vx.on_edge_changed
             while True:
-                handle(v, item[2], item[3], ctx, out, source, True)
+                handle(v, item[2], item[3], ctx, out, source)
                 if count >= RUN_CAP or not topo:
                     break
                 nxt = topo[0]
@@ -312,10 +304,10 @@ class Worker:
         ctx = self.ctx
         out: list = []
         handle = vx.on_message_received
-        handle(v, chan.popleft()[1], ctx, out, True)
+        handle(v, chan.popleft()[1], ctx, out)
         count = 1
         while count < cap and chan and chan[0][0] == dst:
-            handle(v, chan.popleft()[1], ctx, out, True)
+            handle(v, chan.popleft()[1], ctx, out)
             count += 1
         vx.finish_vertex(v, ctx, out)
         v.in_handler = False
@@ -352,8 +344,11 @@ class Worker:
         self.route(out)
 
 
-class Engine:
-    """Shared engine core: ingestion, counters, extraction, quiescence."""
+class SimEngine:
+    """The engine: ingestion, seeded scheduling over logical workers,
+    global relabels, quiescence and extraction, all on the caller's thread.
+    With ``deterministic_seed`` set it replays exactly. The relabel clock
+    counts scheduler steps."""
 
     def __init__(self, config: EngineConfig):
         config.validate()
@@ -368,9 +363,12 @@ class Engine:
         self.topo_sent = 0
         self.events_ingested = 0
         self.last_event_ts = 0
+        self.rng = random.Random(config.deterministic_seed)
+        self._steps = 0
         np0 = self.store.note_vertices(self.source, self.sink)
         if np0:
             self._schedule_newmax(np0)
+        self.pump()  # settle the startup source/sink height events
 
     # -- ingestion ----------------------------------------------------------
 
@@ -441,32 +439,38 @@ class Engine:
 
     def involved_vertices(self) -> Set[int]:
         """Vertices touching a pair that carries positive flow
-        (flow = aggregate capacity minus outbound residual)."""
+        (flow = aggregate capacity minus outbound residual). Pairs the
+        algorithm ignores carry none: the sink's slots and every slot whose
+        neighbour is the source are skipped."""
         caps = self.store.caps
+        source = self.source
+        sink = self.sink
         involved: Set[int] = set()
         for vid, v in self.vertices_items():
+            if vid == sink:
+                continue
             ids = v.nbr_ids
             res_out = v.res_out
             for i in range(len(ids)):
-                cap = caps.get((vid, ids[i]), 0)
+                w = ids[i]
+                if w == source:
+                    continue
+                cap = caps.get((vid, w), 0)
                 if cap > 0 and cap - res_out[i] > 0:
                     involved.add(vid)
-                    involved.add(ids[i])
+                    involved.add(w)
         return involved
 
-    def _extract(self, req: QueryRequest) -> QueryResult:
+    def _extract(self, trigger_ts: Optional[int], started: float) -> QueryResult:
         value = self._sink_excess()
         involved = frozenset(self.involved_vertices())
         return QueryResult(
-            trigger_ts=req.trigger_ts,
+            trigger_ts=trigger_ts if trigger_ts is not None else self.last_event_ts,
             flow_value=value,
             involved=involved,
-            latency_s=time.perf_counter() - req.requested_at,
+            latency_s=time.perf_counter() - started,
             events_ingested=self.events_ingested,
         )
-
-    def snapshot_static(self) -> StaticGraph:
-        return self.store.snapshot()
 
     def scan_invariants(self) -> List[str]:
         from .invariants import scan
@@ -485,19 +489,7 @@ class Engine:
         self.close()
         return False
 
-
-class SimEngine(Engine):
-    """Deterministic engine: seeded scheduling over logical workers on the
-    caller's thread. The relabel clock counts scheduler steps."""
-
-    deterministic = True
-
-    def __init__(self, config: EngineConfig):
-        super().__init__(config)
-        self.rng = random.Random(config.deterministic_seed)
-        self._steps = 0
-        self.gr.last_gr_end_ms = self._now_ms()
-        self.pump()  # settle the startup source/sink height events
+    # -- scheduling ------------------------------------------------------------
 
     def _now_ms(self) -> float:
         return self._steps / SIM_STEPS_PER_MS
@@ -576,12 +568,9 @@ class SimEngine(Engine):
         return done
 
     def query(self, trigger_ts: Optional[int] = None) -> QueryResult:
-        req = QueryRequest(
-            trigger_ts if trigger_ts is not None else self.last_event_ts,
-            time.perf_counter(),
-        )
+        started = time.perf_counter()
         self.pump()
-        return self._extract(req)
+        return self._extract(trigger_ts, started)
 
     def force_global_relabel(self, capture: bool = False) -> Optional[GrSnapshot]:
         """Run a full global relabel now. With ``capture=True`` returns the
@@ -662,9 +651,7 @@ class ThreadedEngine(SimEngine):
     relabels between batches. With every queue empty it marks itself idle
     and waits on ``_cond``; ``ingest`` (when the thread is idle), ``query``,
     ``force_global_relabel`` and ``close`` wake it. The scheduler's generator
-    is seeded from OS entropy and the relabel clock is wall time."""
-
-    deterministic = False
+    is seeded from OS entropy; the relabel clock is the same step clock."""
 
     def __init__(self, config: EngineConfig):
         super().__init__(config)
@@ -675,9 +662,6 @@ class ThreadedEngine(SimEngine):
         self._snap: Optional[GrSnapshot] = None
         self._thread = threading.Thread(target=self._serve, daemon=True, name="liveflow")
         self._thread.start()
-
-    def _now_ms(self) -> float:
-        return time.monotonic() * 1000.0
 
     def _serve(self) -> None:
         cond = self._cond
@@ -721,15 +705,12 @@ class ThreadedEngine(SimEngine):
             return self._snap
 
     def query(self, trigger_ts: Optional[int] = None) -> QueryResult:
-        req = QueryRequest(
-            trigger_ts if trigger_ts is not None else self.last_event_ts,
-            time.perf_counter(),
-        )
+        started = time.perf_counter()
         with self._cond:
             self._cond.notify_all()
             while not self.detect_quiescence():
                 self._cond.wait()
-            return self._extract(req)
+            return self._extract(trigger_ts, started)
 
     def close(self) -> None:
         with self._cond:
@@ -738,7 +719,10 @@ class ThreadedEngine(SimEngine):
         self._thread.join(timeout=2.0)
 
 
-def create_engine(config: EngineConfig) -> Engine:
+Engine = SimEngine  # the engine class's public name, exported as liveflow.Engine
+
+
+def create_engine(config: EngineConfig) -> SimEngine:
     """Deterministic seeded engine when a seed is configured, else the same
     engine pumped by one background thread."""
     if config.deterministic_seed is not None:

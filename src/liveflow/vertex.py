@@ -375,15 +375,13 @@ def on_edge_changed(
     ctx: OpContext,
     out: list,
     source_id: int,
-    defer: bool = False,
 ) -> int:
     """Apply a capacity change on the outgoing edge (v, w).
 
     Loops, edges into the source, and edges out of the sink have no effect
     on the flow and are ignored. Returns the neighbour slot touched, or -1
-    when ignored. With ``defer=True`` the trailing discharge/broadcast is
-    postponed until :func:`finish_vertex` (used when more work for this
-    vertex is already queued).
+    when ignored. The trailing discharge/broadcast is left to
+    :func:`finish_vertex`, which closes the handler run.
     """
     if v.vid == w or w == source_id or v.vtype == SINK:
         return -1
@@ -397,21 +395,16 @@ def on_edge_changed(
         v.excess += delta
     _send(v, i, CAP_OFFSET, delta, out)
     restore_height_invariant(v, i, ctx, out)
-    if defer:
-        v.pending_dirty.append(i)
-    else:
-        discharge(v, ctx, out)
-        broadcast_height_if_needed(v, out, dirty=(i,))
+    v.pending_dirty.append(i)
     return i
 
 
-def on_message_received(
-    v: VertexState, m: Msg, ctx: OpContext, out: list, defer: bool = False
-) -> int:
+def on_message_received(v: VertexState, m: Msg, ctx: OpContext, out: list) -> int:
     """Apply one inbound message: refresh mirrors, account the flow or
     capacity offset, return any flow needed to keep the inbound residual
     non-negative (which may leave this vertex with a deficit), then restore
-    the height invariant and drain. Returns the sender's slot."""
+    the height invariant. The drain is left to :func:`finish_vertex`, which
+    closes the handler run. Returns the sender's slot."""
     i = m.spos
     ids = v.nbr_ids
     if i < 0 or i >= len(ids) or ids[i] != m.sender:
@@ -451,17 +444,14 @@ def on_message_received(
         # positive flow toward itself instead of being orbited forever.
         v.height_pos = 0
 
-    if defer:
-        v.pending_dirty.append(i)
-    else:
-        discharge(v, ctx, out)
-        broadcast_height_if_needed(v, out, dirty=(i,))
+    v.pending_dirty.append(i)
     return i
 
 
 def finish_vertex(v: VertexState, ctx: OpContext, out: list) -> None:
-    """Run the discharge/broadcast tail once for a batch of deferred
-    handler invocations on the same vertex."""
+    """Close a handler run: discharge once, then send changed heights (a
+    full scan when a height changed, else a re-check of the slots the run's
+    edge and message handlers touched)."""
     if v.excess:
         discharge(v, ctx, out)
     dirty = v.pending_dirty

@@ -1,4 +1,7 @@
-"""Event and message handler behaviour, traced per the vertex program rules."""
+"""Event and message handler behaviour, traced per the vertex program rules.
+
+Each handler call is followed by ``finish_vertex``, which closes every
+handler run in the runtime."""
 
 import pytest
 
@@ -12,10 +15,11 @@ from liveflow.vertex import (
     Msg,
     OpContext,
     VertexState,
-    add_neighbour,
+    finish_vertex,
     on_edge_changed,
     on_message_received,
     on_new_max_vertex_count,
+    slot_of,
 )
 from test_vertex_ops import flows, make_vertex, wire
 
@@ -32,23 +36,33 @@ def flows_to(out, dst):
 
 class TestOnEdgeChanged:
     def test_self_loop_ignored(self):
+        # The excess waits on an arc whose head height is still unknown.
         v = make_vertex(vid=3, excess=5, hpos=2)
-        out = []
-        assert on_edge_changed(v, 3, 7, OpContext(), out, SRC_ID) == -1
-        assert out == [] and len(v.nbr_ids) == 0 and v.excess == 5
+        wire(v, 4, res_out=5, mhpos=INF)
+        ctx, out = OpContext(), []
+        assert on_edge_changed(v, 3, 7, ctx, out, SRC_ID) == -1
+        finish_vertex(v, ctx, out)
+        assert out == [] and slot_of(v, 3) == -1 and v.excess == 5
 
     def test_edge_into_source_ignored(self):
         v = make_vertex(vid=3)
-        assert on_edge_changed(v, SRC_ID, 7, OpContext(), [], SRC_ID) == -1
+        ctx, out = OpContext(), []
+        assert on_edge_changed(v, SRC_ID, 7, ctx, out, SRC_ID) == -1
+        finish_vertex(v, ctx, out)
+        assert out == [] and v.nbr_ids == []
 
     def test_sink_tail_ignored(self):
         v = make_vertex(vid=3, vtype=SINK)
-        assert on_edge_changed(v, 4, 7, OpContext(), [], SRC_ID) == -1
+        ctx, out = OpContext(), []
+        assert on_edge_changed(v, 4, 7, ctx, out, SRC_ID) == -1
+        finish_vertex(v, ctx, out)
+        assert out == [] and v.nbr_ids == []
 
     def test_source_gains_excess_and_saturates_new_edge(self):
         s = make_vertex(vid=SRC_ID, vtype=SOURCE, hpos=10)
-        out = []
-        i = on_edge_changed(s, 7, 7, OpContext(), out, SRC_ID)
+        ctx, out = OpContext(), []
+        i = on_edge_changed(s, 7, 7, ctx, out, SRC_ID)
+        finish_vertex(s, ctx, out)
         assert s.excess == 0  # 7 gained, 7 pushed out
         assert s.res_out[i] == 0 and s.res_in[i] == 7
         kinds = [(m.kind, m.amount) for _, m in out]
@@ -59,8 +73,9 @@ class TestOnEdgeChanged:
     def test_capacity_decrease_goes_negative_until_peer_restores(self):
         v = make_vertex(vid=3, excess=0, hpos=2, hneg=INF)
         i = wire(v, 7, res_out=2, res_in=0, mhpos=1)
-        out = []
-        on_edge_changed(v, 7, -5, OpContext(), out, SRC_ID)
+        ctx, out = OpContext(), []
+        on_edge_changed(v, 7, -5, ctx, out, SRC_ID)
+        finish_vertex(v, ctx, out)
         assert v.res_out[i] == -3  # restored at the peer on offset receipt
         offsets = [(dst, m.amount) for dst, m in out if m.kind == CAP_OFFSET]
         assert offsets == [(7, -5)]
@@ -78,11 +93,13 @@ class TestOnEdgeChanged:
 
         out = []
         on_edge_changed(v, 7, -5, ctx, out, SRC_ID)
+        finish_vertex(v, ctx, out)
         assert v.res_out[i] == -5
         transfer = [m for dst, m in out if dst == 7]
         replies = []
         for m in transfer:
             on_message_received(w, m, ctx, replies)
+            finish_vertex(w, ctx, replies)
         returned = [m for dst, m in replies if dst == 3 and m.kind == FLOW and m.amount > 0]
         assert sum(m.amount for m in returned) == 5
         retracted = [m for dst, m in replies if dst == 9 and m.kind == FLOW and m.amount < 0]
@@ -92,6 +109,7 @@ class TestOnEdgeChanged:
         feedback = []
         for m in returned:
             on_message_received(v, m, ctx, feedback)
+            finish_vertex(v, ctx, feedback)
         assert v.res_out[i] == 0  # non-negative residual restored
         assert v.excess == 0  # the 5 units went back upstream
         assert [(dst, m.amount) for dst, m in flows_to(feedback, 2)] == [(2, 5)]
@@ -103,8 +121,9 @@ class TestOnMessageReceived:
         i = wire(t, 4, res_in=5)  # capacity offset for (4,9) already arrived
         t.sent_hpos[i] = t.height_pos  # heights already known at the peer
         t.sent_hneg[i] = t.height_neg
-        out = []
-        on_message_received(t, msg(4, FLOW, 3, hpos=1, hneg=0, spos=i), OpContext(), out)
+        ctx, out = OpContext(), []
+        on_message_received(t, msg(4, FLOW, 3, hpos=1, hneg=0, spos=i), ctx, out)
+        finish_vertex(t, ctx, out)
         assert t.excess == 3
         assert t.res_in[i] == 2
         assert out == []  # no pushes from the sink
@@ -112,8 +131,9 @@ class TestOnMessageReceived:
     def test_capacity_offset_below_zero_returns_flow_and_leaves_deficit(self):
         v = make_vertex(vid=5, excess=0, hpos=4, hneg=INF)
         i = wire(v, 7, res_out=0, res_in=3, mhpos=0, mhneg=0)
-        out = []
-        on_message_received(v, msg(7, CAP_OFFSET, -5, spos=i), OpContext(), out)
+        ctx, out = OpContext(), []
+        on_message_received(v, msg(7, CAP_OFFSET, -5, spos=i), ctx, out)
+        finish_vertex(v, ctx, out)
         assert v.res_in[i] == 0
         assert v.excess == -2
         assert v.height_pos == 0  # deficit pins the positive height
@@ -122,8 +142,9 @@ class TestOnMessageReceived:
     def test_zero_flow_updates_mirrors_only(self):
         v = make_vertex(vid=5, excess=0, hpos=3, hneg=INF)
         i = wire(v, 7, res_out=0, res_in=0, mhpos=9, mhneg=9)
-        out = []
-        on_message_received(v, msg(7, FLOW, 0, hpos=2, hneg=4, spos=i), OpContext(), out)
+        ctx, out = OpContext(), []
+        on_message_received(v, msg(7, FLOW, 0, hpos=2, hneg=4, spos=i), ctx, out)
+        finish_vertex(v, ctx, out)
         assert v.mirror_hpos[i] == 2
         assert v.mirror_hneg[i] == 4
         assert v.excess == 0
@@ -131,8 +152,9 @@ class TestOnMessageReceived:
 
     def test_unknown_sender_is_materialized_and_greeted(self):
         v = make_vertex(vid=5)
-        out = []
-        on_message_received(v, msg(31, FLOW, 0, hpos=1), OpContext(), out)
+        ctx, out = OpContext(), []
+        on_message_received(v, msg(31, FLOW, 0, hpos=1), ctx, out)
+        finish_vertex(v, ctx, out)
         assert len(v.nbr_ids) == 1
         assert v.nbr_ids[0] == 31
         assert [dst for dst, _ in out] == [31]
@@ -140,7 +162,9 @@ class TestOnMessageReceived:
     def test_sender_slot_hint_is_learned(self):
         v = make_vertex(vid=5)
         i = wire(v, 7)
-        on_message_received(v, msg(7, FLOW, 0, spos=i, rpos=4), OpContext(), [])
+        ctx, out = OpContext(), []
+        on_message_received(v, msg(7, FLOW, 0, spos=i, rpos=4), ctx, out)
+        finish_vertex(v, ctx, out)
         assert v.peer_pos[i] == 4
 
 

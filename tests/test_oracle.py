@@ -24,20 +24,20 @@ def test_single_edge():
     value, flow = max_flow_reference(graph((0, 1, 5)), 0, 1)
     assert value == 5
     assert flow == {(0, 1): 5}
-    assert throughflow_vertices(None, flow) == {0, 1}
+    assert throughflow_vertices(flow) == {0, 1}
 
 
 def test_diamond_value_and_involved():
     value, flow = max_flow_reference(DIAMOND, 0, 9)
     assert value == 20
-    assert throughflow_vertices(DIAMOND, flow) == {0, 1, 2, 9}
+    assert throughflow_vertices(flow) == {0, 1, 2, 9}
 
 
 def test_unreachable_sink():
     value, flow = max_flow_reference(graph((0, 1, 5), (2, 3, 5)), 0, 3)
     assert value == 0
     assert flow == {}
-    assert throughflow_vertices(None, flow) == set()
+    assert throughflow_vertices(flow) == set()
 
 
 def test_source_equals_sink_rejected():

@@ -178,7 +178,7 @@ class TestGlobalRelabelRuns:
         try:
             for ev in events[:cut]:
                 eng.ingest(ev)
-            want, _ = max_flow_reference(eng.snapshot_static(), s, t)
+            want, _ = max_flow_reference(eng.store.snapshot(), s, t)
             assert eng.query().flow_value == want > 0
             runs = eng.gr.runs
             eng.force_global_relabel()
@@ -186,7 +186,7 @@ class TestGlobalRelabelRuns:
                 eng.ingest(ev)  # lands after the relabel: needs topology and pushes back
             got = eng.query().flow_value
             assert eng.gr.runs == runs + 1
-            want, _ = max_flow_reference(eng.snapshot_static(), s, t)
+            want, _ = max_flow_reference(eng.store.snapshot(), s, t)
             assert got == want > 0
             assert eng.scan_invariants() == []
         finally:
@@ -208,7 +208,7 @@ class TestGlobalRelabelRuns:
             assert snap.height_pos == hexp
             assert snap.height_neg == nexp
             got = eng.query().flow_value
-            want, _ = max_flow_reference(eng.snapshot_static(), 0, 1)
+            want, _ = max_flow_reference(eng.store.snapshot(), 0, 1)
             assert got == want > 0
             assert eng.gr.runs == 1
         finally:

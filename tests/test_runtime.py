@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import growth_stream, random_add_stream
-from liveflow import TopologyEvent, max_flow_reference, vertex
+from liveflow import GrTunables, TopologyEvent, max_flow_reference, vertex
+from liveflow.oracle import throughflow_vertices
 from liveflow.runtime import (
     EngineConfig,
     SimEngine,
@@ -268,7 +269,7 @@ class TestQuery:
         for ev in DIAMOND[:3]:
             eng.ingest(ev)
         res = eng.query()
-        want, _ = max_flow_reference(eng.snapshot_static(), 0, 9)
+        want, _ = max_flow_reference(eng.store.snapshot(), 0, 9)
         assert res.flow_value == want
 
     def test_involved_vertices_on_diamond(self):
@@ -278,6 +279,19 @@ class TestQuery:
         res = eng.query()
         assert res.flow_value == 20
         assert res.involved == frozenset({0, 1, 2, 9})
+
+    def test_involved_vertices_skip_pairs_the_algorithm_ignores(self):
+        # Edges into the source and out of the sink never carry flow, so
+        # neither their endpoints nor their capacities count as involved.
+        eng = sim(source=0, sink=9, workers=1)
+        for i, (u, w, c) in enumerate([(0, 1, 10), (1, 9, 10), (5, 0, 3),
+                                       (0, 5, 1), (9, 6, 4), (6, 9, 2)]):
+            eng.ingest(TopologyEvent(i, u, w, c))
+        res = eng.query()
+        want, flow = max_flow_reference(eng.store.snapshot(), 0, 9)
+        assert res.flow_value == want == 10
+        assert eng.scan_invariants() == []
+        assert res.involved == throughflow_vertices(flow) == {0, 1, 9}
 
     def test_events_ingested_recorded(self):
         eng = sim()
@@ -299,7 +313,7 @@ class TestBackgroundThread:
             for ev in events:
                 eng.ingest(ev)
                 flows.append(eng.query().flow_value)
-                wants.append(max_flow_reference(eng.snapshot_static(), 0, 1)[0])
+                wants.append(max_flow_reference(eng.store.snapshot(), 0, 1)[0])
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # interleave ingest and the thread finely
@@ -313,6 +327,26 @@ class TestBackgroundThread:
         assert not t.is_alive(), f"round {len(flows)} of {len(events)} never returned"
         assert flows == wants
         assert flows[-1] > 0
+
+    def test_idle_time_does_not_start_a_relabel(self):
+        # The relabel time rule runs on scheduler steps in both modes, so
+        # wall time spent idle between two events fires no relabel.
+        tunables = GrTunables(lift_threshold=10**9)
+        eng = ThreadedEngine(EngineConfig(source=0, sink=9, workers=2, gr=tunables))
+        try:
+            for ev in DIAMOND:
+                eng.ingest(ev)
+            flows = [eng.query().flow_value]
+            wants = [max_flow_reference(eng.store.snapshot(), 0, 9)[0]]
+            runs = eng.gr.runs
+            time.sleep(0.2)
+            eng.ingest(TopologyEvent(5, 0, 9, 3))
+            flows.append(eng.query().flow_value)
+            wants.append(max_flow_reference(eng.store.snapshot(), 0, 9)[0])
+            assert eng.gr.runs == runs
+        finally:
+            eng.close()
+        assert flows == wants == [20, 23]
 
     @pytest.mark.parametrize("backlog", [0, 2000])
     def test_close_stops_the_thread(self, backlog):
@@ -364,7 +398,7 @@ def test_flow_value_always_matches_reference(triples, seed, workers):
     for ev in events:
         eng.ingest(ev)
     got = eng.query().flow_value
-    want, _ = max_flow_reference(eng.snapshot_static(), 0, 7)
+    want, _ = max_flow_reference(eng.store.snapshot(), 0, 7)
     assert got == want
     assert eng.scan_invariants() == []
 

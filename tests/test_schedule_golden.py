@@ -96,7 +96,7 @@ def test_seeded_schedule_replays_golden_counts(name, debug):
                                 case["query_every"], debug)
     assert counts == case["counts"]
     assert flows == case["flows"]
-    want, _ = max_flow_reference(eng.snapshot_static(), 0, 1)
+    want, _ = max_flow_reference(eng.store.snapshot(), 0, 1)
     assert flows[-1] == want
 
 
@@ -108,6 +108,6 @@ def test_seeds_give_distinct_schedules_with_the_same_flow():
         counts, flows, eng = replay(events, case["workers"], seed,
                                     case["query_every"], False)
         schedules.add(tuple(counts.values()))
-        want, _ = max_flow_reference(eng.snapshot_static(), 0, 1)
+        want, _ = max_flow_reference(eng.store.snapshot(), 0, 1)
         assert flows[-1] == want, f"seed {seed}"
     assert len(schedules) >= 5, schedules
