@@ -16,6 +16,14 @@ For every metric the report gives each side's median and quartiles, the
 change's median relative to the base's, and the fraction of pairs the
 change won (ties count for neither side). Failed queries are reported per
 side. Only the standard library and the local git are used.
+
+Beside the wall times, the report gives each side's work counts on one
+fixed stream set: ``harness.run_episode`` on episodes 0..COUNT_EPISODES-1
+of the run seed, run once in each side's own tree, with the engine's
+``work_counters`` summed over the streams and every query checked against
+the reference. On a seeded workload these counts repeat exactly, so they
+show whether a change moved the algorithm's work independent of host
+drift; on a threaded workload they vary from run to run.
 """
 
 from __future__ import annotations
@@ -33,6 +41,27 @@ import tempfile
 from typing import Dict, List
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+COUNT_EPISODES = 10
+
+# Runs in a tree's root with argv = [workload, run seed, episodes]; prints
+# the summed work counters and query tallies as one JSON object.
+COUNT_SCRIPT = """
+import json, os, sys
+sys.path[:0] = ["src", "perfbench"]
+import harness, liveflow
+if not os.path.realpath(liveflow.__file__).startswith(os.path.realpath("src") + os.sep):
+    sys.exit(f"liveflow imported from {liveflow.__file__}, not from this tree")
+wl = harness.WORKLOADS[sys.argv[1]]
+totals = {"queries": 0, "failed": 0}
+for i in range(int(sys.argv[3])):
+    ep = harness.run_episode(wl, harness.episode_seed(int(sys.argv[2]), i))
+    harness.check_references(wl, ep)
+    totals["queries"] += ep.planned
+    totals["failed"] += ep.failed
+    for k, v in ep.counters.items():
+        totals[k] = totals.get(k, 0) + v
+print(json.dumps(totals))
+"""
 
 
 def git(*args: str) -> str:
@@ -51,6 +80,25 @@ def run_once(cwd: str, command: List[str], workload: str, seed: int,
         raise RuntimeError(f"{' '.join(argv)} in {cwd} exited {proc.returncode}:\n"
                            f"{proc.stderr.strip()}")
     return json.loads(lines[-1])
+
+
+def work_counts(cwd: str, workload: str, seed: int) -> Dict[str, int]:
+    """Summed work counters of one tree on the fixed stream set."""
+    argv = [sys.executable, "-c", COUNT_SCRIPT, workload, str(seed), str(COUNT_EPISODES)]
+    proc = subprocess.run(argv, cwd=cwd, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"work counts in {cwd} exited {proc.returncode}:\n"
+                           f"{proc.stderr.strip()}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def report_counts(counts: Dict[str, Dict[str, int]]) -> None:
+    base, change = counts["base"], counts["change"]
+    print(f"{'work count':<16} {'base':>12} {'change':>12} {'change/base':>12}")
+    for name in change:
+        b, c = base.get(name, 0), change[name]
+        ratio = f"{c / b:.3f}" if b else "n/a"
+        print(f"{name:<16} {b:>12} {c:>12} {ratio:>12}")
 
 
 def quartiles(values: List[float]):
@@ -104,12 +152,15 @@ def main(argv=None) -> int:
     tmp = tempfile.mkdtemp(prefix="ab_bench-")
     base_dir = os.path.join(tmp, sha[:12])
     runs: Dict[str, List[dict]] = {"base": [], "change": []}
+    counts: Dict[str, Dict[str, int]] = {}
     try:
         os.mkdir(base_dir)
         archive = subprocess.run(["git", "-C", ROOT, "archive", sha],
                                  check=True, capture_output=True).stdout
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(base_dir)
+        for side, cwd in (("base", base_dir), ("change", ROOT)):
+            counts[side] = work_counts(cwd, args.workload, args.seed)
         for i in range(args.pairs):
             order = ("change", "base") if i % 2 == 0 else ("base", "change")
             for side in order:
@@ -124,6 +175,8 @@ def main(argv=None) -> int:
     print(f"workload {args.workload}, seed {args.seed}, {args.seconds:g} s per run, "
           f"{args.pairs} pairs; base {sha[:12]}, change = working tree of {ROOT}")
     report(runs, better)
+    print(f"work counts: streams 0..{COUNT_EPISODES - 1} of run seed {args.seed}, summed")
+    report_counts(counts)
     return 0
 
 

@@ -13,7 +13,12 @@ exact residual-graph distance. It runs in four phases:
 
 The trigger fires on a lift budget, or on elapsed time proportional to the
 previous relabel's duration; the time condition keeps relabels prompt even
-when few vertices are active and lifts are rare. Time is the engine's step
+when few vertices are active and lifts are rare. The default lift budget is
+the historical maximum vertex count n_max, or 1 lift once a flow cut (a
+capacity decrease that forced a vertex to send flow back) has happened
+since the last relabel: a cut leaves excess and deficits the current
+heights were never built for, and correcting stale heights one lift at a
+time costs a height broadcast per lift. Time is the engine's step
 clock in both execution modes: handler runs, 50 of them to the "ms"
 (``runtime.SIM_STEPS_PER_MS``), so relabels follow the work done and not
 host speed or idle wall time.
@@ -49,9 +54,11 @@ _NEXT_PHASE = {
 
 @dataclass
 class GrTunables:
-    """Trigger knobs. ``lift_threshold=None`` tracks the historical maximum
-    vertex count; ``time_factor`` caps relabel overhead at roughly
-    1/time_factor of runtime."""
+    """Trigger knobs. ``lift_threshold=None`` is the default lift budget:
+    the historical maximum vertex count n_max, or 1 lift after a flow cut
+    since the last relabel. An explicit threshold ignores cuts.
+    ``time_factor`` caps relabel overhead at roughly 1/time_factor of
+    runtime."""
 
     lift_threshold: Optional[int] = None
     time_factor: float = 10.0
@@ -72,7 +79,9 @@ class GrState:
 
     ``last_gr_duration_ms`` starts at min_interval/time_factor so the time
     condition is live from startup. Clock values are supplied by the engine:
-    its step clock, which counts handler runs in both execution modes.
+    its step clock, which counts handler runs in both execution modes. The
+    engine sets ``cut_pending`` before each trigger probe when a flow cut
+    happened since the last relabel; ``finish`` clears it.
     """
 
     tunables: GrTunables = field(default_factory=GrTunables)
@@ -81,6 +90,7 @@ class GrState:
     last_gr_duration_ms: float = 0.0
     last_gr_end_ms: float = 0.0
     runs: int = 0
+    cut_pending: bool = False
 
     def __post_init__(self):
         self.tunables.validate()
@@ -101,6 +111,7 @@ class GrState:
         self.last_gr_duration_ms = max(now_ms - started_ms, 0.0)
         self.last_gr_end_ms = now_ms
         self.lift_baseline = lifts_total
+        self.cut_pending = False
         self.runs += 1
 
 
@@ -112,7 +123,7 @@ def check_trigger(gr: GrState, now_ms: float, lifts_total: int, n_max: int) -> b
         return False
     threshold = gr.tunables.lift_threshold
     if threshold is None:
-        threshold = max(n_max, 1)
+        threshold = 1 if gr.cut_pending else max(n_max, 1)
     if lifts_total - gr.lift_baseline >= threshold:
         return True
     wait = max(

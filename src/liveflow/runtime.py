@@ -365,6 +365,7 @@ class SimEngine:
         self.last_event_ts = 0
         self.rng = random.Random(config.deterministic_seed)
         self._steps = 0
+        self._cut_baseline = 0   # flow cuts counted when the last relabel finished
         np0 = self.store.note_vertices(self.source, self.sink)
         if np0:
             self._schedule_newmax(np0)
@@ -425,8 +426,20 @@ class SimEngine:
 
     # -- extraction ----------------------------------------------------------
 
+    # Both totals run at every trigger probe; a plain loop costs about a
+    # third of sum() over a generator.
+
     def _total_lifts(self) -> int:
-        return sum(w.ctx.lift_count for w in self.workers)
+        n = 0
+        for w in self.workers:
+            n += w.ctx.lift_count
+        return n
+
+    def _total_cuts(self) -> int:
+        n = 0
+        for w in self.workers:
+            n += w.ctx.cut_count
+        return n
 
     def vertices_items(self) -> Iterable[Tuple[int, vx.VertexState]]:
         for w in self.workers:
@@ -553,11 +566,14 @@ class SimEngine:
         honoring relabel triggers. Returns the number of steps executed.
 
         The relabel trigger is probed before every batch of PROBE_EVERY
-        steps; the relabel clock (``_steps``) advances once per step."""
+        steps, after marking whether a flow cut happened since the last
+        relabel; the relabel clock (``_steps``) advances once per step."""
+        gr = self.gr
         done = 0
         while max_steps is None or done < max_steps:
+            gr.cut_pending = self._total_cuts() > self._cut_baseline
             if check_trigger(
-                self.gr, self._now_ms(), self._total_lifts(), self.store.n_max
+                gr, self._now_ms(), self._total_lifts(), self.store.n_max
             ) and not self._queues_empty():
                 self._run_gr(capture=False)
             budget = PROBE_EVERY if max_steps is None else min(PROBE_EVERY, max_steps - done)
@@ -622,6 +638,7 @@ class SimEngine:
 
         gr.advance(PHASE_NORMAL)
         gr.finish(self._now_ms(), t0, self._total_lifts())
+        self._cut_baseline = self._total_cuts()
         for w in self.workers:
             w.enter_phase(PHASE_NORMAL, np_)
         return snap

@@ -101,15 +101,17 @@ class OpContext:
     """Worker-local switches and counters shared by all handler calls.
 
     Pushes and lifts are disabled by the global-relabel phases; the lift
-    counter feeds the relabel trigger.
+    and flow-cut counters feed the relabel trigger. A flow cut is a
+    capacity decrease that forces a vertex to send flow back.
     """
 
-    __slots__ = ("push_enabled", "lift_enabled", "lift_count")
+    __slots__ = ("push_enabled", "lift_enabled", "lift_count", "cut_count")
 
     def __init__(self):
         self.push_enabled = True
         self.lift_enabled = True
         self.lift_count = 0
+        self.cut_count = 0
 
 
 class VertexState:
@@ -436,6 +438,7 @@ def on_message_received(v: VertexState, m: Msg, ctx: OpContext, out: list) -> in
         v.res_out[i] -= back
         res_in[i] = 0
         _send(v, i, FLOW, back, out)
+        ctx.cut_count += 1
 
     restore_height_invariant(v, i, ctx, out)
 

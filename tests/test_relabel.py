@@ -55,6 +55,47 @@ class TestTrigger:
         gr.phase = PHASE_DRAIN
         assert check_trigger(gr, now_ms=10**9, lifts_total=10**9, n_max=5) is False
 
+    def test_cut_lowers_default_budget_to_one_lift(self):
+        gr = GrState(GrTunables())
+        gr.lift_baseline = 40
+        gr.cut_pending = True
+        assert check_trigger(gr, now_ms=1.0, lifts_total=40, n_max=100) is False
+        assert check_trigger(gr, now_ms=1.0, lifts_total=41, n_max=100) is True
+
+    def test_finish_restores_vertex_count_budget(self):
+        gr = GrState(GrTunables())
+        gr.cut_pending = True
+        assert check_trigger(gr, now_ms=1.0, lifts_total=1, n_max=100) is True
+        for phase in (PHASE_DRAIN, PHASE_RELABEL_UP, PHASE_RELABEL_DOWN, PHASE_NORMAL):
+            gr.advance(phase)
+        gr.finish(now_ms=2.0, started_ms=1.0, lifts_total=1)
+        assert gr.cut_pending is False
+        assert check_trigger(gr, now_ms=2.0, lifts_total=100, n_max=100) is False
+        assert check_trigger(gr, now_ms=2.0, lifts_total=101, n_max=100) is True
+
+    def test_explicit_threshold_ignores_cuts(self):
+        gr = GrState(GrTunables(lift_threshold=10))
+        gr.cut_pending = True
+        assert check_trigger(gr, now_ms=1.0, lifts_total=9, n_max=100) is False
+        assert check_trigger(gr, now_ms=1.0, lifts_total=10, n_max=100) is True
+
+    def test_without_cut_decisions_match_the_vertex_count_rule(self):
+        def vertex_count_rule(gr, now_ms, lifts_total, n_max):
+            if lifts_total - gr.lift_baseline >= max(n_max, 1):
+                return True
+            wait = max(gr.tunables.time_factor * gr.last_gr_duration_ms,
+                       gr.tunables.min_interval_ms)
+            return now_ms - gr.last_gr_end_ms >= wait
+
+        gr = GrState(GrTunables())
+        gr.lift_baseline = 3
+        gr.last_gr_end_ms = 10.0
+        for now_ms in (10.0, 40.0, 59.9, 60.0, 200.0):
+            for lifts_total in (3, 4, 7, 8, 30):
+                for n_max in (0, 1, 5, 27):
+                    assert check_trigger(gr, now_ms, lifts_total, n_max) == \
+                        vertex_count_rule(gr, now_ms, lifts_total, n_max)
+
 
 class TestPhaseMachine:
     def test_cycle_order_enforced(self):
@@ -214,6 +255,64 @@ class TestGlobalRelabelRuns:
         finally:
             eng.close()
         assert backlog, "the stream drained before the forced relabel"
+
+
+class TestCutTrigger:
+    """A flow cut (a capacity decrease that forces flow back) lowers the
+    default lift budget to 1 until the next relabel finishes."""
+
+    @staticmethod
+    def cut_stream_engine(workers, **gr):
+        # Flow 5 runs 0 -> 1 -> 2 -> 9; the detour 1 -> 3 -> 9 arrives after
+        # that flow has settled. Deleting 2 -> 9 then forces the sink to send
+        # 5 units back, and vertex 2 must lift to return them toward 1.
+        eng = sim(workers=workers, gr=GrTunables(**gr))
+        for i, (u, v, c) in enumerate([(0, 1, 5), (1, 2, 5), (2, 9, 5)]):
+            eng.ingest(TopologyEvent(i, u, v, c))
+        assert eng.query().flow_value == 5
+        for i, (u, v, c) in enumerate([(1, 3, 5), (3, 9, 5)]):
+            eng.ingest(TopologyEvent(3 + i, u, v, c))
+        assert eng.query().flow_value == 5
+        assert eng.gr.runs == 0 and eng._total_lifts() == 0
+        eng.ingest(TopologyEvent(5, 2, 9, -5))
+        return eng
+
+    @staticmethod
+    def assert_settled(eng):
+        got = eng.query().flow_value
+        want, _ = max_flow_reference(eng.store.snapshot(), 0, 9)
+        assert got == want == 5
+        assert eng.scan_invariants() == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_first_lift_after_cut_starts_a_relabel(self, workers):
+        eng = self.cut_stream_engine(workers)
+        while eng._total_lifts() == 0:
+            assert eng.pump(max_steps=1) == 1, "the cut never caused a lift"
+            assert eng.gr.runs == 0
+        eng.pump(max_steps=1)  # the next step is preceded by a trigger probe
+        assert eng.gr.runs == 1
+        assert eng._total_cuts() > 0
+        self.assert_settled(eng)
+        assert eng.gr.runs == 1
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_out_of_reach_triggers_run_no_relabel(self, workers):
+        eng = self.cut_stream_engine(workers, lift_threshold=10**9,
+                                     min_interval_ms=3_600_000.0)
+        self.assert_settled(eng)
+        assert eng._total_cuts() > 0 and eng._total_lifts() > 0
+        assert eng.gr.runs == 0
+
+    def test_add_only_stream_makes_no_cut(self):
+        eng = sim(source=0, sink=1, workers=2, seed=3)
+        for i, ev in enumerate(growth_stream(random.Random(61), events=2000, vertices=80)):
+            if i % 250 == 0:
+                eng.query()
+            eng.ingest(ev)
+        eng.query()
+        assert eng._total_lifts() > 0 and eng.gr.runs > 0
+        assert eng._total_cuts() == 0
 
 
 class TestExactnessOnRandomStates:

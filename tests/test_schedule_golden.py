@@ -80,8 +80,8 @@ CASES = {
     "window": dict(
         events=lambda: list(sliding_window_transform(growth_stream(100, 1200, seed=12), 300)),
         workers=2, seed=9, query_every=100,
-        counts={"msg_sent": 113882, "msg_received": 113882, "topo_received": 2137,
-                "lifts": 4501, "relabel_runs": 44, "steps": 112295},
+        counts={"msg_sent": 110492, "msg_received": 110492, "topo_received": 2137,
+                "lifts": 1515, "relabel_runs": 63, "steps": 109010},
         flows=[0, 1, 9, 8, 7, 7, 6, 4, 8, 9, 6, 9, 7, 7, 4, 4, 4, 9, 11, 12, 10],
     ),
 }
