@@ -14,7 +14,7 @@ import argparse
 import statistics
 import time
 
-from liveflow.events import StreamConfig, read_event_log, throttle
+from liveflow.events import read_event_log, throttle
 from liveflow.metrics import QuerySchedule
 from liveflow.runtime import EngineConfig, ThreadedEngine
 
@@ -48,7 +48,7 @@ def main():
     args = p.parse_args()
 
     with open(args.input, encoding="utf-8") as fh:
-        events = list(read_event_log(fh, StreamConfig()))
+        events = list(read_event_log(fh))
     print(f"{len(events)} events; measuring saturation...")
     lat, sat = run(events, args.source, args.sink, args.workers, args.query_interval, None)
     print(f"saturation: {sat:,.0f} events/s, median latency {statistics.median(lat)*1e3:.1f} ms")

@@ -7,7 +7,6 @@ low latency and stable solutions.
 """
 
 from .events import (
-    StreamConfig,
     StreamFormatError,
     StreamOrderError,
     TopologyEvent,
@@ -33,7 +32,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "TopologyEvent",
-    "StreamConfig",
     "StreamFormatError",
     "StreamOrderError",
     "parse_event_line",

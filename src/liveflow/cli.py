@@ -10,13 +10,13 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import IO, Callable, List, Optional
 
 from .events import (
-    StreamConfig,
     StreamFormatError,
     StreamOrderError,
+    TopologyEvent,
     read_event_log,
     sliding_window_transform,
     throttle,
@@ -45,44 +45,27 @@ EXIT_ORACLE = 3
 @dataclass
 class RunConfig:
     input_path: str
-    source: int
-    sink: int
     query_interval: int
-    workers: int = 1
+    engine: EngineConfig
     window: Optional[int] = None
     offered_rate: Optional[float] = None
     oracle_check: bool = False
-    deterministic_seed: Optional[int] = None
-    alpha: float = 1.1
-    gr: GrTunables = field(default_factory=GrTunables)
     output_format: str = "tsv"
     static_baseline: bool = False
 
     def validate(self) -> None:
-        """Check this run's own fields, then the engine's and the stream's
-        through their configs, so each rule is written once and holds also
-        when no engine is built (``static_baseline``)."""
+        """Check this run's own fields, then the engine's through
+        ``EngineConfig.validate``, so each rule is written once and holds
+        also when no engine is built (``static_baseline``)."""
         if self.query_interval <= 0:
             raise ValueError("query interval must be positive")
+        if self.window is not None and self.window <= 0:
+            raise ValueError("window size must be positive")
+        if self.offered_rate is not None and self.offered_rate <= 0:
+            raise ValueError("offered rate must be positive")
         if self.output_format not in ("tsv", "jsonl"):
             raise ValueError(f"unknown output format {self.output_format!r}")
-        _engine_config(self).validate()
-        _stream_config(self).validate()
-
-
-def _engine_config(cfg: RunConfig) -> EngineConfig:
-    return EngineConfig(
-        source=cfg.source,
-        sink=cfg.sink,
-        workers=cfg.workers,
-        alpha=cfg.alpha,
-        deterministic_seed=cfg.deterministic_seed,
-        gr=replace(cfg.gr),
-    )
-
-
-def _stream_config(cfg: RunConfig) -> StreamConfig:
-    return StreamConfig(window=cfg.window, offered_rate=cfg.offered_rate)
+        self.engine.validate()
 
 
 class _OracleMismatch(Exception):
@@ -113,39 +96,31 @@ def run_cli(
         print(f"liveflow: cannot read input: {exc}", file=err)
         return EXIT_ERROR
 
-    engine = None if cfg.static_baseline else factory(_engine_config(cfg))
-    # the capacity ledger the oracle reads; the static baseline keeps its own
-    store = GraphStore(cfg.alpha) if cfg.static_baseline else engine.store
-    history: List = []  # retained only for static rebuilds
+    engine = None if cfg.static_baseline else factory(cfg.engine)
+    # the one capacity ledger: the oracle reads it, the static baseline
+    # rebuilds each query from it
+    store = GraphStore(cfg.engine.alpha) if engine is None else engine.store
     records: List[QueryRecord] = []
     schedule = QuerySchedule(cfg.query_interval)
     prev_involved: Optional[frozenset] = None
+    ingested = 0
     seg_events_base = 0
     seg_clock_base = time.perf_counter()
     write_header(out, cfg.output_format)
 
-    def events_ingested() -> int:
-        return len(history) if cfg.static_baseline else engine.events_ingested
-
-    def ingest(ev) -> None:
-        if cfg.static_baseline:
-            store.apply_edge(ev)
-            store.note_vertices(ev.src, ev.dst)
-            history.append(ev)
-        else:
-            engine.ingest(ev)
-
     def static_query(trigger_ts: int):
         t0 = time.perf_counter()
-        econf = _engine_config(cfg)
+        econf = cfg.engine
         if econf.deterministic_seed is not None:
             # a from-scratch run is a fresh execution, not a replay of the
             # incremental run's schedule; derive a distinct seed per rebuild
-            econf.deterministic_seed += 1000 * (len(records) + 1)
+            seed = econf.deterministic_seed + 1000 * (len(records) + 1)
+            econf = replace(econf, deterministic_seed=seed)
         fresh = factory(econf)
         try:
-            for ev in history:
-                fresh.ingest(ev)
+            for (src, dst), cap in store.caps.items():
+                if cap > 0:
+                    fresh.ingest(TopologyEvent(trigger_ts, src, dst, cap))
             res = fresh.query(trigger_ts)
         finally:
             fresh.close()
@@ -155,10 +130,10 @@ def run_cli(
     def run_query(trigger_ts: int) -> None:
         nonlocal prev_involved, seg_events_base, seg_clock_base
         seg_seconds = time.perf_counter() - seg_clock_base
-        seg_events = events_ingested() - seg_events_base
-        res = static_query(trigger_ts) if cfg.static_baseline else engine.query(trigger_ts)
+        seg_events = ingested - seg_events_base
+        res = engine.query(trigger_ts) if engine is not None else static_query(trigger_ts)
         if cfg.oracle_check:
-            want, _ = max_flow_reference(store.snapshot(), cfg.source, cfg.sink)
+            want, _ = max_flow_reference(store.snapshot(), cfg.engine.source, cfg.engine.sink)
             if want != res.flow_value:
                 raise _OracleMismatch(res.flow_value, want, trigger_ts)
         stability = (
@@ -171,7 +146,7 @@ def run_cli(
         records.append(
             QueryRecord(
                 trigger_ts=trigger_ts,
-                events_ingested=events_ingested(),
+                events_ingested=ingested,
                 flow_value=res.flow_value,
                 latency_ms=res.latency_s * 1000.0,
                 stability_pct=stability,
@@ -179,13 +154,13 @@ def run_cli(
             )
         )
         write_record(out, cfg.output_format, records[-1])
-        seg_events_base = events_ingested()
+        seg_events_base = ingested
         seg_clock_base = time.perf_counter()
 
     last_ts = 0
     try:
         try:
-            stream = read_event_log(fh, _stream_config(cfg))
+            stream = read_event_log(fh)
             if cfg.window is not None:
                 stream = sliding_window_transform(stream, cfg.window)
             if cfg.offered_rate is not None:
@@ -193,9 +168,14 @@ def run_cli(
             for ev in stream:
                 if schedule.observe(ev.ts):
                     run_query(ev.ts)  # collection happens before the event lands
-                ingest(ev)
+                if engine is None:
+                    store.apply_edge(ev)
+                    store.note_vertices(ev.src, ev.dst)
+                else:
+                    engine.ingest(ev)
+                ingested += 1
                 last_ts = ev.ts
-            if events_ingested() > 0:
+            if ingested > 0:
                 run_query(last_ts)
         finally:
             fh.close()
@@ -208,7 +188,7 @@ def run_cli(
         print(f"liveflow: {exc}", file=err)
         return EXIT_ERROR
 
-    write_summary(out, cfg.output_format, summarize(records, events_ingested()))
+    write_summary(out, cfg.output_format, summarize(records, ingested))
     return EXIT_OK
 
 
@@ -230,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="dataset time units between queries",
     )
-    p.add_argument("--workers", type=int, default=1, metavar="N")
+    p.add_argument("--workers", type=int, default=EngineConfig.workers, metavar="N")
     p.add_argument(
         "--window",
         type=int,
@@ -257,13 +237,17 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SEED",
         help="seeded scheduling on the calling thread, for reproducible runs",
     )
-    p.add_argument("--alpha", type=float, default=1.1, metavar="F")
-    p.add_argument("--gr-lift-threshold", type=int, default=None, metavar="N")
-    p.add_argument("--gr-time-factor", type=float, default=10.0, metavar="F")
+    p.add_argument("--alpha", type=float, default=EngineConfig.alpha, metavar="F")
+    p.add_argument(
+        "--gr-lift-threshold", type=int, default=GrTunables.lift_threshold, metavar="N"
+    )
+    p.add_argument(
+        "--gr-time-factor", type=float, default=GrTunables.time_factor, metavar="F"
+    )
     p.add_argument(
         "--gr-min-interval",
         type=float,
-        default=50.0,
+        default=GrTunables.min_interval_ms,
         metavar="MS",
         help='minimum time between relabels on the step clock, 50 handler runs per "ms"',
     )
@@ -271,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--static-baseline",
         action="store_true",
-        help="recompute each query from scratch on the current snapshot",
+        help="recompute each query from scratch on the current snapshot's pairs",
     )
     return p
 
@@ -279,20 +263,22 @@ def build_parser() -> argparse.ArgumentParser:
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(
         input_path=args.input,
-        source=args.source,
-        sink=args.sink,
         query_interval=args.query_interval,
-        workers=args.workers,
+        engine=EngineConfig(
+            source=args.source,
+            sink=args.sink,
+            workers=args.workers,
+            alpha=args.alpha,
+            deterministic_seed=args.deterministic,
+            gr=GrTunables(
+                lift_threshold=args.gr_lift_threshold,
+                time_factor=args.gr_time_factor,
+                min_interval_ms=args.gr_min_interval,
+            ),
+        ),
         window=args.window,
         offered_rate=args.rate,
         oracle_check=args.oracle_check,
-        deterministic_seed=args.deterministic,
-        alpha=args.alpha,
-        gr=GrTunables(
-            lift_threshold=args.gr_lift_threshold,
-            time_factor=args.gr_time_factor,
-            min_interval_ms=args.gr_min_interval,
-        ),
         output_format=args.format,
         static_baseline=args.static_baseline,
     )

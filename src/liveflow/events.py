@@ -4,10 +4,10 @@ Event logs are plain text, one event per line, whitespace separated:
 
     [a|d] <timestamp> <src> <dst> [<weight>]
 
-A missing op marker means ``a`` (add); a missing weight means the configured
-default weight (1). A ``d`` marker negates the weight, turning the line into
-a capacity removal. Lines starting with ``#`` are comments. Timestamps must
-be non-decreasing across the file.
+A missing op marker means ``a`` (add); a missing weight means 1. A ``d``
+marker negates the weight, turning the line into a capacity removal. Lines
+starting with ``#`` are comments. Timestamps must be non-decreasing across
+the file.
 
 A stream is *delete-valid* when no prefix drives the cumulative capacity of
 any ordered vertex pair negative. :func:`sliding_window_transform` always
@@ -23,7 +23,6 @@ from typing import Iterable, Iterator, Optional
 
 __all__ = [
     "TopologyEvent",
-    "StreamConfig",
     "StreamFormatError",
     "StreamOrderError",
     "parse_event_line",
@@ -44,23 +43,6 @@ class TopologyEvent:
     delta: int
 
 
-@dataclass
-class StreamConfig:
-    """Knobs for reading and replaying an event log."""
-
-    window: Optional[int] = None          # sliding-window size, dataset time units
-    offered_rate: Optional[float] = None  # events per wall-clock second
-    default_weight: int = 1
-
-    def validate(self) -> None:
-        if self.window is not None and self.window <= 0:
-            raise ValueError("window size must be positive")
-        if self.offered_rate is not None and self.offered_rate <= 0:
-            raise ValueError("offered rate must be positive")
-        if self.default_weight <= 0:
-            raise ValueError("default weight must be positive")
-
-
 class StreamFormatError(ValueError):
     """A line that does not match the event grammar."""
 
@@ -78,12 +60,9 @@ class StreamOrderError(ValueError):
 _OP_MARKERS = ("a", "d")
 
 
-def parse_event_line(
-    line: str, config: Optional[StreamConfig] = None, line_no: Optional[int] = None
-) -> TopologyEvent:
+def parse_event_line(line: str, line_no: Optional[int] = None) -> TopologyEvent:
     """Decode one event line. Comments and blank lines are not events here;
     callers that read whole files should use :func:`read_event_log`."""
-    default_weight = config.default_weight if config is not None else 1
     fields = line.split()
     if not fields:
         raise StreamFormatError("blank line is not an event", line_no)
@@ -109,7 +88,7 @@ def parse_event_line(
         if weight <= 0:
             raise StreamFormatError(f"weight must be positive, got {weight}", line_no)
     else:
-        weight = default_weight
+        weight = 1
     delta = weight if op == "a" else -weight
     return TopologyEvent(ts, src, dst, delta)
 
@@ -120,9 +99,7 @@ def format_event_line(ev: TopologyEvent) -> str:
     return f"{op} {ev.ts} {ev.src} {ev.dst} {abs(ev.delta)}"
 
 
-def read_event_log(
-    lines: Iterable[str], config: Optional[StreamConfig] = None
-) -> Iterator[TopologyEvent]:
+def read_event_log(lines: Iterable[str]) -> Iterator[TopologyEvent]:
     """Parse an event log, skipping comments and blanks and enforcing
     non-decreasing timestamps. Accepts any iterable of lines (file objects
     included)."""
@@ -131,7 +108,7 @@ def read_event_log(
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        ev = parse_event_line(stripped, config, line_no)
+        ev = parse_event_line(stripped, line_no)
         if last_ts is not None and ev.ts < last_ts:
             raise StreamFormatError(
                 f"timestamp {ev.ts} regresses below {last_ts}", line_no

@@ -332,27 +332,18 @@ def broadcast_height_if_needed(
     hp = v.height_pos
     hn = v.height_neg
     if hp != v.last_bcast_pos or hn != v.last_bcast_neg:
-        res_in = v.res_in
-        res_out = v.res_out
-        sent_p = v.sent_hpos
-        sent_n = v.sent_hneg
-        for i in range(len(v.nbr_ids)):
-            if (res_in[i] > 0 and sent_p[i] != hp) or (
-                res_out[i] > 0 and sent_n[i] != hn
-            ):
-                _send(v, i, FLOW, 0, out)
+        slots = range(len(v.nbr_ids))
         v.last_bcast_pos = hp
         v.last_bcast_neg = hn
-    elif dirty:
-        res_in = v.res_in
-        res_out = v.res_out
-        sent_p = v.sent_hpos
-        sent_n = v.sent_hneg
-        for i in dirty:
-            if (res_in[i] > 0 and sent_p[i] != hp) or (
-                res_out[i] > 0 and sent_n[i] != hn
-            ):
-                _send(v, i, FLOW, 0, out)
+    else:
+        slots = dirty
+    res_in = v.res_in
+    res_out = v.res_out
+    sent_p = v.sent_hpos
+    sent_n = v.sent_hneg
+    for i in slots:
+        if (res_in[i] > 0 and sent_p[i] != hp) or (res_out[i] > 0 and sent_n[i] != hn):
+            _send(v, i, FLOW, 0, out)
 
 
 def on_new_max_vertex_count(
@@ -414,8 +405,7 @@ def on_message_received(v: VertexState, m: Msg, ctx: OpContext, out: list) -> in
         if i < 0:
             i = add_neighbour(v, m.sender)
             _send(v, i, FLOW, 0, out)  # reply so the sender learns our heights
-    if m.rpos >= 0:
-        v.peer_pos[i] = m.rpos
+    v.peer_pos[i] = m.rpos
     v.mirror_hpos[i] = m.hpos
     v.mirror_hneg[i] = m.hneg
 

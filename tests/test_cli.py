@@ -1,5 +1,6 @@
 import io
 import json
+import random
 
 import pytest
 
@@ -14,8 +15,11 @@ from liveflow.cli import (
     main,
     run_cli,
 )
+from liveflow.events import read_event_log, sliding_window_transform
+from liveflow.metrics import QuerySchedule
+from liveflow.oracle import max_flow_reference
 from liveflow.relabel import GrTunables
-from liveflow.runtime import create_engine
+from liveflow.runtime import EngineConfig, GraphStore, create_engine
 
 DIAMOND_LOG = """\
 # diamond graph
@@ -33,14 +37,15 @@ def write_log(tmp_path, text, name="events.log"):
     return str(p)
 
 
-def run(tmp_path, text, **kw):
-    path = write_log(tmp_path, text)
+def run(tmp_path, text, engine=None, **kw):
+    """Run the CLI on ``text``; ``engine`` overrides fields of the default
+    seeded EngineConfig(0, 9), the other keywords fields of RunConfig."""
+    settings = dict(source=0, sink=9, deterministic_seed=1)
+    settings.update(engine or {})
     defaults = dict(
-        input_path=path,
-        source=0,
-        sink=9,
+        input_path=write_log(tmp_path, text),
         query_interval=100,
-        deterministic_seed=1,
+        engine=EngineConfig(**settings),
         output_format="jsonl",
     )
     defaults.update(kw)
@@ -98,10 +103,8 @@ class TestRunCli:
         path = write_log(tmp_path, DIAMOND_LOG)
         cfg = RunConfig(
             input_path=path,
-            source=0,
-            sink=9,
             query_interval=100,
-            deterministic_seed=1,
+            engine=EngineConfig(source=0, sink=9, deterministic_seed=1),
             oracle_check=True,
             output_format="jsonl",
         )
@@ -116,21 +119,25 @@ class TestRunCli:
     @pytest.mark.parametrize(
         "bad, message",
         [
-            pytest.param(dict(sink=0), "source and sink must differ", id="sink"),
-            pytest.param(dict(workers=0), "need at least one worker", id="workers"),
-            pytest.param(dict(alpha=1.0), "projection factor must exceed 1", id="alpha"),
+            pytest.param(dict(engine=dict(sink=0)), "source and sink must differ", id="sink"),
+            pytest.param(dict(engine=dict(workers=0)), "need at least one worker", id="workers"),
+            pytest.param(
+                dict(engine=dict(alpha=1.0)), "projection factor must exceed 1", id="alpha"
+            ),
             pytest.param(dict(window=0), "window size must be positive", id="window"),
             pytest.param(dict(offered_rate=0), "offered rate must be positive", id="offered_rate"),
             pytest.param(
-                dict(gr=GrTunables(lift_threshold=0)),
+                dict(engine=dict(gr=GrTunables(lift_threshold=0))),
                 "lift threshold must be positive",
                 id="lift_threshold",
             ),
             pytest.param(
-                dict(gr=GrTunables(time_factor=0)), "time factor must be positive", id="time_factor"
+                dict(engine=dict(gr=GrTunables(time_factor=0))),
+                "time factor must be positive",
+                id="time_factor",
             ),
             pytest.param(
-                dict(gr=GrTunables(min_interval_ms=0)),
+                dict(engine=dict(gr=GrTunables(min_interval_ms=0))),
                 "minimum interval must be positive",
                 id="min_interval_ms",
             ),
@@ -146,9 +153,8 @@ class TestRunCli:
     def test_missing_input_file(self):
         cfg = RunConfig(
             input_path="/nonexistent/events.log",
-            source=0,
-            sink=9,
             query_interval=10,
+            engine=EngineConfig(source=0, sink=9),
         )
         code = run_cli(cfg, out=io.StringIO(), err=io.StringIO())
         assert code == EXIT_ERROR
@@ -179,8 +185,7 @@ class TestRunCli:
         code, records, _ = run(
             tmp_path,
             text,
-            source=0,
-            sink=5,
+            engine=dict(sink=5),
             query_interval=15,
             window=20,
             oracle_check=True,
@@ -199,14 +204,81 @@ class TestRunCli:
         assert code == EXIT_OK
         assert all(q["flow_value"] >= 0 for q in queries(records))
 
+    def test_static_baseline_rebuilds_from_the_ledger(self, tmp_path):
+        # a windowed multigraph log: some pairs are added more than once and
+        # some fall back to zero capacity once their adds leave the window
+        rng = random.Random(3)
+        lines = [
+            "a %d %d %d %d" % (ts, rng.randrange(8), rng.randrange(8), rng.randint(1, 3))
+            for ts in range(120)
+        ]
+        window, interval = 20, 15
+        rebuilds = []
+
+        class Counting:
+            def __init__(self, inner):
+                self._inner = inner
+                self.ingested = []
+
+            def __getattr__(self, name):
+                return getattr(self._inner, name)
+
+            def ingest(self, ev):
+                self.ingested.append(ev)
+                self._inner.ingest(ev)
+
+            def query(self, trigger_ts=None):
+                res = self._inner.query(trigger_ts)
+                rebuilds.append((trigger_ts, self.ingested, res.flow_value))
+                return res
+
+        path = write_log(tmp_path, "\n".join(lines) + "\n")
+        cfg = RunConfig(
+            input_path=path,
+            query_interval=interval,
+            engine=EngineConfig(source=0, sink=5, deterministic_seed=1),
+            window=window,
+            oracle_check=True,
+            output_format="jsonl",
+            static_baseline=True,
+        )
+        factory = lambda c: Counting(create_engine(c))  # noqa: E731
+        code = run_cli(cfg, out=io.StringIO(), err=io.StringIO(), engine_factory=factory)
+        assert code == EXIT_OK
+
+        # the same ledger, kept independently of the CLI
+        store = GraphStore(cfg.engine.alpha)
+        schedule = QuerySchedule(interval)
+        expected = []
+
+        def expect(ts):
+            positive = {pair: cap for pair, cap in store.caps.items() if cap > 0}
+            want, _ = max_flow_reference(store.snapshot(), 0, 5)
+            expected.append((ts, positive, want, len(store.caps) - len(positive)))
+
+        for ev in sliding_window_transform(read_event_log(lines), window):
+            if schedule.observe(ev.ts):
+                expect(ev.ts)
+            store.apply_edge(ev)
+            store.note_vertices(ev.src, ev.dst)
+        expect(ev.ts)
+
+        assert len(rebuilds) == len(expected) > 2
+        for (ts, ingested, flow), (want_ts, positive, want, _) in zip(rebuilds, expected):
+            assert ts == want_ts
+            assert len(ingested) == len(positive)
+            assert {(e.src, e.dst): e.delta for e in ingested} == positive
+            assert all(e.ts == ts for e in ingested)
+            assert flow == want
+        assert any(zeros for *_, zeros in expected)  # some ledger held a zero pair
+        assert any(want for _, _, want, _ in expected)  # and some flow was positive
+
     def test_tsv_output_shape(self, tmp_path):
         path = write_log(tmp_path, DIAMOND_LOG)
         cfg = RunConfig(
             input_path=path,
-            source=0,
-            sink=9,
             query_interval=100,
-            deterministic_seed=1,
+            engine=EngineConfig(source=0, sink=9, deterministic_seed=1),
             output_format="tsv",
         )
         out = io.StringIO()
@@ -218,7 +290,12 @@ class TestRunCli:
 
     def test_deterministic_runs_are_identical(self, tmp_path):
         def one_run():
-            _, records, _ = run(tmp_path, DIAMOND_LOG, query_interval=1, workers=2, deterministic_seed=42)
+            _, records, _ = run(
+                tmp_path,
+                DIAMOND_LOG,
+                engine=dict(workers=2, deterministic_seed=42),
+                query_interval=1,
+            )
             for r in records:
                 r.pop("latency_ms", None)
                 r.pop("events_per_sec", None)
@@ -253,13 +330,22 @@ class TestArgs:
             ]
         )
         cfg = config_from_args(args)
-        assert cfg.source == 3 and cfg.sink == 4
+        assert cfg.engine.source == 3 and cfg.engine.sink == 4
+        assert cfg.engine.workers == 2 and cfg.engine.alpha == 1.2
         assert cfg.window == 100 and cfg.offered_rate == 500.0
-        assert cfg.deterministic_seed == 9
-        assert cfg.gr.lift_threshold == 64
-        assert cfg.gr.time_factor == 8.0
-        assert cfg.gr.min_interval_ms == 25.0
+        assert cfg.engine.deterministic_seed == 9
+        assert cfg.engine.gr.lift_threshold == 64
+        assert cfg.engine.gr.time_factor == 8.0
+        assert cfg.engine.gr.min_interval_ms == 25.0
         assert cfg.static_baseline is True
+
+    def test_parser_defaults_are_the_engine_defaults(self):
+        args = build_parser().parse_args(
+            ["--input", "x.log", "--source", "3", "--sink", "4", "--query-interval", "7"]
+        )
+        cfg = config_from_args(args)
+        assert cfg.engine == EngineConfig(3, 4)
+        assert cfg == RunConfig(input_path="x.log", query_interval=7, engine=EngineConfig(3, 4))
 
     def test_main_returns_code_with_explicit_argv(self, tmp_path):
         path = write_log(tmp_path, DIAMOND_LOG)

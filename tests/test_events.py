@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liveflow.events import (
-    StreamConfig,
     StreamFormatError,
     StreamOrderError,
     TopologyEvent,
@@ -27,10 +26,6 @@ class TestParse:
 
     def test_delete_marker_negates_weight(self):
         assert parse_event_line("d 250 3 7 5") == TopologyEvent(250, 3, 7, -5)
-
-    def test_default_weight_from_config(self):
-        cfg = StreamConfig(default_weight=4)
-        assert parse_event_line("9 1 2", cfg).delta == 4
 
     @pytest.mark.parametrize(
         "line",
@@ -169,12 +164,3 @@ class TestThrottle:
         assert n == 2000
         assert elapsed >= 1.8  # 2000 events at 1000/s, with 10% slack
 
-
-def test_stream_config_validation():
-    StreamConfig().validate()
-    with pytest.raises(ValueError):
-        StreamConfig(window=0).validate()
-    with pytest.raises(ValueError):
-        StreamConfig(offered_rate=-1).validate()
-    with pytest.raises(ValueError):
-        StreamConfig(default_weight=0).validate()
