@@ -24,11 +24,25 @@ of the run seed, run once in each side's own tree, with the engine's
 the reference. On a seeded workload these counts repeat exactly, so they
 show whether a change moved the algorithm's work independent of host
 drift; on a threaded workload they vary from run to run.
+
+With ``--interleave ROUNDS`` the script runs no subprocess pairs. It
+imports both trees' ``liveflow`` into this one process, as the packages
+``liveflow_base`` and ``liveflow_change``, and drives the same streams
+through ``harness._drive`` (the working tree's harness) on both, alternating
+which side drives a stream first. Each round drives STREAMS_PER_ROUND
+streams on each side and prints the change's total drive time over the
+base's, each side's query p50, and whether the per-query flows, stability
+values and ``work_counters`` match stream by stream. Host drift between
+separate processes is then shared by both sides.
+
+    python3 scripts/ab_bench.py --base HEAD~1 --workload window-poll --interleave 6
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
+import importlib.util
 import io
 import json
 import os
@@ -42,6 +56,7 @@ from typing import Dict, List
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 COUNT_EPISODES = 10
+STREAMS_PER_ROUND = 4     # streams per side in one --interleave round
 
 # Runs in a tree's root with argv = [workload, run seed, episodes]; prints
 # the summed work counters and query tallies as one JSON object.
@@ -101,6 +116,81 @@ def report_counts(counts: Dict[str, Dict[str, int]]) -> None:
         print(f"{name:<16} {b:>12} {c:>12} {ratio:>12}")
 
 
+def load_package(name: str, src: str):
+    """Import the ``liveflow`` package under ``src`` as module ``name``."""
+    init = os.path.join(src, "liveflow", "__init__.py")
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[os.path.dirname(init)])
+    pkg = importlib.util.module_from_spec(spec)
+    sys.modules[name] = pkg
+    spec.loader.exec_module(pkg)
+    return pkg
+
+
+def drive_stream(harness, pkg, wl, seed: int):
+    """Set up one stream with ``pkg``'s parser and engine and drive it
+    through ``harness._drive``; returns the filled ``harness.Episode``."""
+    lines = harness.stream_lines(wl.vertices, wl.adds, seed)
+    events = list(pkg.sliding_window_transform(pkg.read_event_log(lines), wl.window))
+    engine = pkg.create_engine(pkg.EngineConfig(
+        source=harness.SOURCE, sink=harness.SINK, workers=wl.workers,
+        deterministic_seed=seed if wl.seeded else None))
+    ep = harness.Episode(seed, events=len(events))
+    plan = harness._query_plan(events, wl.query_every)
+    ep.planned = len(plan)
+    gc.collect()
+    try:
+        harness._drive(engine, events, wl, ep, plan)
+    finally:
+        engine.close()
+    ep.counters = harness.work_counters(engine)
+    return ep
+
+
+def interleave(base_dir: str, workload: str, seed: int, rounds: int) -> None:
+    """Alternate the same streams through both trees in this process."""
+    sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+    import harness
+
+    pkgs = {"base": load_package("liveflow_base", os.path.join(base_dir, "src")),
+            "change": load_package("liveflow_change", os.path.join(ROOT, "src"))}
+    wl = harness.WORKLOADS[workload]
+    ratios: List[float] = []
+    lat: Dict[str, List[float]] = {"base": [], "change": []}
+    all_same = True
+    for r in range(rounds):
+        eps: Dict[str, list] = {"base": [], "change": []}
+        for k in range(STREAMS_PER_ROUND):
+            index = r * STREAMS_PER_ROUND + k
+            order = ("base", "change") if index % 2 == 0 else ("change", "base")
+            for side in order:
+                eps[side].append(drive_stream(
+                    harness, pkgs[side], wl, harness.episode_seed(seed, index)))
+        ratio = (sum(ep.drive_s for ep in eps["change"])
+                 / sum(ep.drive_s for ep in eps["base"]))
+        ratios.append(ratio)
+        p50 = {}
+        for side in ("base", "change"):
+            round_lat = [x for ep in eps[side] for x in ep.latencies_ms]
+            lat[side] += round_lat
+            p50[side] = statistics.median(round_lat)
+        same = all(b.flows == c.flows and b.stability == c.stability
+                   and b.counters == c.counters
+                   for b, c in zip(eps["base"], eps["change"]))
+        all_same = all_same and same
+        print(f"round {r + 1}/{rounds}: drive change/base {ratio:.3f}, "
+              f"query p50 base {p50['base']:.3f} ms change {p50['change']:.3f} ms, "
+              f"flows, stability and work_counters {'match' if same else 'DIFFER'}",
+              flush=True)
+    won = sum(1 for x in ratios if x < 1.0)
+    print(f"workload {workload}, seed {seed}, {rounds} rounds of {STREAMS_PER_ROUND} "
+          f"streams per side: change won {won}/{rounds} rounds, median drive "
+          f"change/base {statistics.median(ratios):.3f}; query p50 base "
+          f"{statistics.median(lat['base']):.3f} ms change "
+          f"{statistics.median(lat['change']):.3f} ms; flows, stability and work_counters "
+          f"{'match on every stream' if all_same else 'DIFFER'}")
+
+
 def quartiles(values: List[float]):
     if len(values) == 1:
         return values[0], values[0], values[0]
@@ -141,9 +231,14 @@ def main(argv=None) -> int:
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--seconds", type=float, default=bench["run_seconds"])
+    p.add_argument("--interleave", type=int, default=0, metavar="ROUNDS",
+                   help="instead of pairs, alternate both trees' engines over "
+                        "the same streams in one process for ROUNDS rounds")
     args = p.parse_args(argv)
     if args.pairs < 1:
         p.error("--pairs must be at least 1")
+    if args.interleave < 0:
+        p.error("--interleave must not be negative")
 
     command = [sys.executable if c in ("python", "python3") else c
                for c in bench["command"]]
@@ -159,6 +254,10 @@ def main(argv=None) -> int:
                                  check=True, capture_output=True).stdout
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(base_dir)
+        if args.interleave:
+            print(f"base {sha[:12]}, change = working tree of {ROOT}")
+            interleave(base_dir, args.workload, args.seed, args.interleave)
+            return 0
         for side, cwd in (("base", base_dir), ("change", ROOT)):
             counts[side] = work_counts(cwd, args.workload, args.seed)
         for i in range(args.pairs):

@@ -32,7 +32,13 @@ from .metrics import (
 )
 from .oracle import max_flow_reference
 from .relabel import GrTunables
-from .runtime import EngineConfig, GraphStore, StreamValidityError, create_engine
+from .runtime import (
+    SIM_STEPS_PER_MS,
+    EngineConfig,
+    GraphStore,
+    StreamValidityError,
+    create_engine,
+)
 
 __all__ = ["RunConfig", "run_cli", "main"]
 
@@ -249,7 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=GrTunables.min_interval_ms,
         metavar="MS",
-        help='minimum time between relabels on the step clock, 50 handler runs per "ms"',
+        help="minimum time between relabels on the step clock, "
+        f'{SIM_STEPS_PER_MS:g} handler runs per "ms"',
     )
     p.add_argument("--format", choices=("tsv", "jsonl"), default="tsv")
     p.add_argument(

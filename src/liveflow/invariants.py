@@ -7,6 +7,8 @@ and reports violations as human-readable strings (empty list = clean).
 Checked per vertex and per neighbour slot:
 
 * residual capacities are non-negative and symmetric across the pair;
+* each slot's edge capacity (``cap_out``) equals the ledger's capacity of
+  the pair as the algorithm sees it;
 * residual symmetry sums match the aggregate stored capacities (skew
   symmetry), excluding pairs the algorithm ignores (loops, edges into the
   source, edges out of the sink);
@@ -89,6 +91,11 @@ def scan(engine) -> List[str]:
             if ro != w.res_in[j]:
                 err(
                     f"edge ({vid},{wid}): residual mismatch {ro} != {w.res_in[j]}"
+                )
+            if v.cap_out[i] != alg_cap(vid, wid):
+                err(
+                    f"edge ({vid},{wid}): capacity {v.cap_out[i]} != "
+                    f"ledger {alg_cap(vid, wid)}"
                 )
             expected = alg_cap(vid, wid) + alg_cap(wid, vid)
             if ro + ri != expected:

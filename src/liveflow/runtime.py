@@ -167,7 +167,11 @@ class GraphStore:
 
 class Worker:
     """One shared-nothing partition: owned vertices, a topology FIFO, and a
-    message FIFO per sending worker."""
+    message FIFO per sending worker.
+
+    ``outboxes[k]`` is worker k's channel from this worker; it and the
+    engine's ``debug`` flag are cached here because every handler run reads
+    them."""
 
     __slots__ = (
         "wid",
@@ -176,6 +180,9 @@ class Worker:
         "ctx",
         "topo",
         "chans",
+        "outboxes",
+        "nworkers",
+        "debug",
         "topo_enabled",
         "msg_sent",
         "msg_received",
@@ -191,6 +198,9 @@ class Worker:
         self.ctx = vx.OpContext()
         self.topo = deque()
         self.chans = [deque() for _ in range(nworkers)]
+        self.outboxes: List[deque] = []   # filled by the engine
+        self.nworkers = nworkers
+        self.debug = engine.debug
         self.topo_enabled = True
         self.msg_sent = 0
         self.msg_received = 0
@@ -217,36 +227,35 @@ class Worker:
     def route(self, out: list) -> None:
         if not out:
             return
-        eng = self.engine
-        workers = eng.workers
-        n = eng.nworkers
-        if eng.debug:
+        n = self.nworkers
+        if self.debug:
             seq_out = self._seq_out
             for dst, m in out:
                 k = dst % n
                 m.seq = seq_out[k]
                 seq_out[k] += 1
-        wid = self.wid
+        outboxes = self.outboxes
         for item in out:
-            workers[item[0] % n].chans[wid].append(item)
+            outboxes[item[0] % n].append(item)
         self.msg_sent += len(out)
 
     def _check_enter(self, v: vx.VertexState) -> None:
         """Debug mode: mark v as inside a handler run, refusing re-entry.
-        The run clears the mark unconditionally when it ends."""
+        The run clears the mark when it ends."""
         if v.in_handler:
             raise RuntimeError(f"re-entrant handler on vertex {v.vid}")
         v.in_handler = True
 
-    def _check_message_run(self, ci: int, v: vx.VertexState) -> int:
-        """Debug mode, once per message run: the run's messages must carry
-        the channel's next sequence numbers. Returns how many messages were
-        checked; ``message_run`` consumes exactly that many. Only this worker
-        pops its channels, so the checked prefix stays put while senders on
-        other threads append behind it."""
-        self._check_enter(v)
+    def _check_message_run(self, ci: int) -> int:
+        """Debug mode, once per message run, before it pops: the run's
+        vertex must not be inside a handler run, and the run's messages must
+        carry the channel's next sequence numbers. Returns how many messages
+        were checked; ``message_run`` consumes exactly that many. Only this
+        worker pops its channels, so the checked prefix stays put while
+        senders on other threads append behind it."""
         chan = self.chans[ci]
-        dst = v.vid
+        dst = chan[0][0]
+        self._check_enter(self.get_vertex(dst))
         expect = self._seq_in[ci]
         limit = min(len(chan), RUN_CAP)
         k = 0
@@ -269,7 +278,8 @@ class Worker:
         topo = self.topo
         item = topo.popleft()
         v = self.get_vertex(item[1])
-        if self.engine.debug:
+        debug = self.debug
+        if debug:
             self._check_enter(v)
         out: list = []
         count = 1
@@ -290,7 +300,8 @@ class Worker:
                 item = topo.popleft()
                 count += 1
             vx.finish_vertex(v, ctx, out)
-        v.in_handler = False
+        if debug:
+            v.in_handler = False
         self.route(out)
         self.topo_received += count
 
@@ -298,19 +309,23 @@ class Worker:
         """Consume the channel's next message plus up to RUN_CAP - 1 directly
         following messages for the same vertex, as one handler run."""
         chan = self.chans[ci]
-        dst = chan[0][0]
-        v = self.get_vertex(dst)
-        cap = self._check_message_run(ci, v) if self.engine.debug else RUN_CAP
+        debug = self.debug
+        cap = self._check_message_run(ci) if debug else RUN_CAP
+        dst, m = chan.popleft()
+        v = self.vertices.get(dst)
+        if v is None:
+            v = self.get_vertex(dst)
         ctx = self.ctx
         out: list = []
         handle = vx.on_message_received
-        handle(v, chan.popleft()[1], ctx, out)
+        handle(v, m, ctx, out)
         count = 1
         while count < cap and chan and chan[0][0] == dst:
             handle(v, chan.popleft()[1], ctx, out)
             count += 1
         vx.finish_vertex(v, ctx, out)
-        v.in_handler = False
+        if debug:
+            v.in_handler = False
         self.route(out)
         self.msg_received += count
 
@@ -360,6 +375,8 @@ class SimEngine:
         self.store = GraphStore(config.alpha)
         self.gr = GrState(config.gr)
         self.workers = [Worker(i, config.workers, self) for i in range(config.workers)]
+        for w in self.workers:
+            w.outboxes = [peer.chans[w.wid] for peer in self.workers]
         self.topo_sent = 0
         self.events_ingested = 0
         self.last_event_ts = 0
@@ -451,27 +468,20 @@ class SimEngine:
         return v.excess if v is not None else 0
 
     def involved_vertices(self) -> Set[int]:
-        """Vertices touching a pair that carries positive flow
-        (flow = aggregate capacity minus outbound residual). Pairs the
-        algorithm ignores carry none: the sink's slots and every slot whose
-        neighbour is the source are skipped."""
-        caps = self.store.caps
-        source = self.source
+        """Vertices touching a pair that carries positive flow. The flow on
+        the edge to slot i is ``cap_out[i] - res_out[i]``, read from the
+        vertex alone. Pairs the algorithm ignores carry none: their
+        ``cap_out`` stays 0, and the sink's slots are skipped."""
         sink = self.sink
         involved: Set[int] = set()
+        add = involved.add
         for vid, v in self.vertices_items():
             if vid == sink:
                 continue
-            ids = v.nbr_ids
-            res_out = v.res_out
-            for i in range(len(ids)):
-                w = ids[i]
-                if w == source:
-                    continue
-                cap = caps.get((vid, w), 0)
-                if cap > 0 and cap - res_out[i] > 0:
-                    involved.add(vid)
-                    involved.add(w)
+            for w, cap, res in zip(v.nbr_ids, v.cap_out, v.res_out):
+                if cap > res and cap > 0:
+                    add(vid)
+                    add(w)
         return involved
 
     def _extract(self, trigger_ts: Optional[int], started: float) -> QueryResult:

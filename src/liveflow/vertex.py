@@ -2,15 +2,20 @@
 
 Each vertex is an independent agent owning its excess, two heights (one
 guiding positive flow toward the sink, one guiding negative flow, i.e.
-deficits, back toward the source), and per-neighbour mirrors of residual
-capacities and heights. All effects leave a vertex as messages; nothing here
-reads another vertex's state.
+deficits, back toward the source), per-neighbour mirrors of residual
+capacities and heights, and the capacity of each outgoing edge. All effects
+leave a vertex as messages; nothing here reads another vertex's state.
 
 Conventions used throughout:
 
 * ``res_out[i]`` is the residual capacity from this vertex to neighbour i,
   ``res_in[i]`` the residual capacity from neighbour i to this vertex as
   locally known. At quiescence ``v.res_out[w] == w.res_in[v]``.
+* ``cap_out[i]`` is the aggregate capacity of the edge to neighbour i, as
+  the edge handler applied it; pairs the algorithm ignores stay at 0. The
+  flow on the edge is ``cap_out[i] - res_out[i]``.
+* A message names its sender by id only; the receiver looks the sender's
+  slot up in ``nbr_index``.
 * Heights use the sentinel ``INF``, strictly above any reachable label.
   New normal vertices start at (INF, INF) so they cannot attract flow
   before a real route to the sink (or source) is learned; they descend
@@ -67,27 +72,24 @@ class InvariantViolation(RuntimeError):
 
 
 class Msg:
-    """Inter-vertex message: a flow amount or a capacity offset, plus the
-    sender's heights. A height the receiver cannot use arrives as the INF
-    sentinel (see :func:`_send`), so both mirrors are overwritten on receipt.
+    """Inter-vertex message: the sender's id, a flow amount or a capacity
+    offset, and the sender's heights. A height the receiver cannot use
+    arrives as the INF sentinel (see :func:`_send`), so both mirrors are
+    overwritten on receipt. The receiver finds the sender's slot by id in
+    its ``nbr_index``.
 
-    ``spos`` is the sender's slot in the receiver's neighbour table when the
-    sender knows it (-1 otherwise); ``rpos`` is the receiver's slot in the
-    sender's table so the receiver can learn its own position. ``seq`` is a
-    per-channel sequence number stamped only in debug mode.
+    ``seq`` is a per-channel sequence number, stamped by the runtime's
+    routing in debug mode only (unset otherwise).
     """
 
-    __slots__ = ("sender", "spos", "rpos", "kind", "amount", "hpos", "hneg", "seq")
+    __slots__ = ("sender", "kind", "amount", "hpos", "hneg", "seq")
 
-    def __init__(self, sender, spos, rpos, kind, amount, hpos, hneg):
+    def __init__(self, sender, kind, amount, hpos, hneg):
         self.sender = sender
-        self.spos = spos
-        self.rpos = rpos
         self.kind = kind
         self.amount = amount
         self.hpos = hpos
         self.hneg = hneg
-        self.seq = -1
 
     def __repr__(self):  # pragma: no cover - debugging aid
         kind = "flow" if self.kind == FLOW else "cap"
@@ -118,8 +120,10 @@ class VertexState:
     """Per-vertex algorithm state with struct-of-arrays neighbour storage.
 
     Neighbour data lives in parallel lists indexed by slot; ``nbr_index``
-    maps a neighbour id to its slot so that only the first contact from a
-    new neighbour pays the dictionary lookup (messages carry slots).
+    maps a neighbour id to its slot. ``cap_out[i]`` is the aggregate
+    capacity of the edge to neighbour i as this vertex's edge handler has
+    applied it (0 for pairs the algorithm ignores), so the flow on the edge
+    is ``cap_out[i] - res_out[i]`` without a lookup in the capacity ledger.
     """
 
     __slots__ = (
@@ -135,7 +139,7 @@ class VertexState:
         "mirror_hneg",
         "sent_hpos",
         "sent_hneg",
-        "peer_pos",
+        "cap_out",
         "nbr_index",
         "last_bcast_pos",
         "last_bcast_neg",
@@ -161,7 +165,7 @@ class VertexState:
         self.mirror_hneg: List[int] = []
         self.sent_hpos: List[int] = []
         self.sent_hneg: List[int] = []
-        self.peer_pos: List[int] = []
+        self.cap_out: List[int] = []
         self.nbr_index: dict = {}
         self.last_bcast_pos = self.height_pos
         self.last_bcast_neg = self.height_neg
@@ -183,7 +187,7 @@ def add_neighbour(v: VertexState, w: int) -> int:
     v.mirror_hneg.append(0)
     v.sent_hpos.append(UNSENT)
     v.sent_hneg.append(UNSENT)
-    v.peer_pos.append(-1)
+    v.cap_out.append(0)
     v.nbr_index[w] = i
     return i
 
@@ -212,7 +216,7 @@ def _send(v: VertexState, i: int, kind: int, amount: int, out: list) -> None:
     else:
         hneg = INF
     v.sent_hneg[i] = hneg
-    out.append((v.nbr_ids[i], Msg(v.vid, v.peer_pos[i], i, kind, amount, hpos, hneg)))
+    out.append((v.nbr_ids[i], Msg(v.vid, kind, amount, hpos, hneg)))
 
 
 def push(v: VertexState, i: int, ctx: OpContext, out: list) -> int:
@@ -327,7 +331,9 @@ def broadcast_height_if_needed(
     A full scan runs only when a height changed since the last broadcast;
     otherwise only the ``dirty`` slots (neighbours whose residuals were
     touched by the current handler) are re-checked, which is what re-sends a
-    previously suppressed height once the relevant residual reopens.
+    previously suppressed height once the relevant residual reopens. Each
+    message is what :func:`_send` would build for a zero flow, written
+    inline.
     """
     hp = v.height_pos
     hn = v.height_neg
@@ -343,7 +349,11 @@ def broadcast_height_if_needed(
     sent_n = v.sent_hneg
     for i in slots:
         if (res_in[i] > 0 and sent_p[i] != hp) or (res_out[i] > 0 and sent_n[i] != hn):
-            _send(v, i, FLOW, 0, out)
+            p = hp if res_in[i] > 0 else INF
+            n = hn if res_out[i] > 0 else INF
+            sent_p[i] = p
+            sent_n[i] = n
+            out.append((v.nbr_ids[i], Msg(v.vid, FLOW, 0, p, n)))
 
 
 def on_new_max_vertex_count(
@@ -383,6 +393,7 @@ def on_edge_changed(
         i = add_neighbour(v, w)
         _send(v, i, FLOW, 0, out)  # introduce ourselves to the new neighbour
     v.res_out[i] += delta
+    v.cap_out[i] += delta
     if v.vtype == SOURCE:
         # The source keeps enough excess to saturate all outgoing edges.
         v.excess += delta
@@ -396,18 +407,18 @@ def on_message_received(v: VertexState, m: Msg, ctx: OpContext, out: list) -> in
     """Apply one inbound message: refresh mirrors, account the flow or
     capacity offset, return any flow needed to keep the inbound residual
     non-negative (which may leave this vertex with a deficit), then restore
-    the height invariant. The drain is left to :func:`finish_vertex`, which
-    closes the handler run. Returns the sender's slot."""
-    i = m.spos
-    ids = v.nbr_ids
-    if i < 0 or i >= len(ids) or ids[i] != m.sender:
-        i = v.nbr_index.get(m.sender, -1)
-        if i < 0:
-            i = add_neighbour(v, m.sender)
-            _send(v, i, FLOW, 0, out)  # reply so the sender learns our heights
-    v.peer_pos[i] = m.rpos
-    v.mirror_hpos[i] = m.hpos
-    v.mirror_hneg[i] = m.hneg
+    the height invariant (:func:`restore_height_invariant`, written inline
+    here). The drain is left to :func:`finish_vertex`, which closes the
+    handler run. Returns the sender's slot."""
+    sender = m.sender
+    i = v.nbr_index.get(sender, -1)
+    if i < 0:
+        i = add_neighbour(v, sender)
+        _send(v, i, FLOW, 0, out)  # reply so the sender learns our heights
+    hpos = m.hpos
+    hneg = m.hneg
+    v.mirror_hpos[i] = hpos
+    v.mirror_hneg[i] = hneg
 
     res_in = v.res_in
     if m.kind == CAP_OFFSET:
@@ -430,12 +441,17 @@ def on_message_received(v: VertexState, m: Msg, ctx: OpContext, out: list) -> in
         _send(v, i, FLOW, back, out)
         ctx.cut_count += 1
 
-    restore_height_invariant(v, i, ctx, out)
-
-    if v.vtype == NORMAL and v.excess < 0 and v.height_pos > 0:
-        # A deficit pins the positive height at zero so the vertex pulls
-        # positive flow toward itself instead of being orbited forever.
-        v.height_pos = 0
+    if v.excess:
+        push(v, i, ctx, out)
+    if v.vtype == NORMAL:
+        if v.res_out[i] > 0 and v.height_pos > hpos + 1:
+            v.height_pos = hpos + 1
+        if res_in[i] > 0 and v.height_neg > hneg + 1:
+            v.height_neg = hneg + 1
+        if v.excess < 0 and v.height_pos > 0:
+            # A deficit pins the positive height at zero so the vertex pulls
+            # positive flow toward itself instead of being orbited forever.
+            v.height_pos = 0
 
     v.pending_dirty.append(i)
     return i

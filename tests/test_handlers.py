@@ -26,8 +26,8 @@ from test_vertex_ops import flows, make_vertex, wire
 SRC_ID = 100
 
 
-def msg(sender, kind, amount, hpos=INF, hneg=INF, spos=-1, rpos=0):
-    return Msg(sender, spos, rpos, kind, amount, hpos, hneg)
+def msg(sender, kind, amount, hpos=INF, hneg=INF):
+    return Msg(sender, kind, amount, hpos, hneg)
 
 
 def flows_to(out, dst):
@@ -122,7 +122,7 @@ class TestOnMessageReceived:
         t.sent_hpos[i] = t.height_pos  # heights already known at the peer
         t.sent_hneg[i] = t.height_neg
         ctx, out = OpContext(), []
-        on_message_received(t, msg(4, FLOW, 3, hpos=1, hneg=0, spos=i), ctx, out)
+        on_message_received(t, msg(4, FLOW, 3, hpos=1, hneg=0), ctx, out)
         finish_vertex(t, ctx, out)
         assert t.excess == 3
         assert t.res_in[i] == 2
@@ -132,7 +132,7 @@ class TestOnMessageReceived:
         v = make_vertex(vid=5, excess=0, hpos=4, hneg=INF)
         i = wire(v, 7, res_out=0, res_in=3, mhpos=0, mhneg=0)
         ctx, out = OpContext(), []
-        on_message_received(v, msg(7, CAP_OFFSET, -5, spos=i), ctx, out)
+        on_message_received(v, msg(7, CAP_OFFSET, -5), ctx, out)
         finish_vertex(v, ctx, out)
         assert v.res_in[i] == 0
         assert v.excess == -2
@@ -143,7 +143,7 @@ class TestOnMessageReceived:
         v = make_vertex(vid=5, excess=0, hpos=3, hneg=INF)
         i = wire(v, 7, res_out=0, res_in=0, mhpos=9, mhneg=9)
         ctx, out = OpContext(), []
-        on_message_received(v, msg(7, FLOW, 0, hpos=2, hneg=4, spos=i), ctx, out)
+        on_message_received(v, msg(7, FLOW, 0, hpos=2, hneg=4), ctx, out)
         finish_vertex(v, ctx, out)
         assert v.mirror_hpos[i] == 2
         assert v.mirror_hneg[i] == 4
@@ -159,13 +159,51 @@ class TestOnMessageReceived:
         assert v.nbr_ids[0] == 31
         assert [dst for dst, _ in out] == [31]
 
-    def test_sender_slot_hint_is_learned(self):
-        v = make_vertex(vid=5)
-        i = wire(v, 7)
+    def test_known_sender_updates_exactly_its_slot(self):
+        # The two sides added each other in different orders: 3 is slot 2
+        # at 7, and 7 is slot 0 at 3. Each side's messages name only the
+        # sender, and each receiver touches only the sender's slot.
+        v = make_vertex(vid=3, hpos=2, hneg=2)
+        iv = wire(v, 7, mhpos=1, mhneg=1)
+        wire(v, 8, mhpos=5, mhneg=5)
+        w = make_vertex(vid=7, hpos=1, hneg=1)
+        wire(w, 4, mhpos=6, mhneg=6)
+        wire(w, 5, mhpos=6, mhneg=6)
+        jw = wire(w, 3, mhpos=2, mhneg=2)
+        assert (iv, jw) == (0, 2)
+        ctx = OpContext()
+        for recv, sender, slot, peer in ((w, v, jw, 7), (v, w, iv, 3)):
+            before = [list(recv.res_in), list(recv.res_out),
+                      list(recv.mirror_hpos), list(recv.mirror_hneg)]
+            out = []
+            on_edge_changed(sender, peer, 4, ctx, out, SRC_ID)
+            finish_vertex(sender, ctx, out)
+            replies = []
+            for dst, m in out:
+                assert dst == peer
+                assert on_message_received(recv, m, ctx, replies) == slot
+            finish_vertex(recv, ctx, replies)
+            after = [recv.res_in, recv.res_out, recv.mirror_hpos, recv.mirror_hneg]
+            changed = {k for b, a in zip(before, after)
+                       for k in range(len(a)) if a[k] != b[k]}
+            assert changed == {slot}
+            assert recv.res_in[slot] == 4
+            assert len(recv.nbr_ids) == len(before[0])
+
+    def test_new_sender_gets_one_slot_and_one_reply(self):
+        v = make_vertex(vid=5, hpos=2, hneg=2)
+        wire(v, 7)
+        wire(v, 8)
         ctx, out = OpContext(), []
-        on_message_received(v, msg(7, FLOW, 0, spos=i, rpos=4), ctx, out)
+        i = on_message_received(v, msg(31, FLOW, 0, hpos=1, hneg=1), ctx, out)
         finish_vertex(v, ctx, out)
-        assert v.peer_pos[i] == 4
+        assert i == 2 and v.nbr_ids == [7, 8, 31] and v.nbr_index[31] == 2
+        assert [dst for dst, _ in out] == [31]
+        assert (v.mirror_hpos[i], v.mirror_hneg[i]) == (1, 1)
+        again = []
+        assert on_message_received(v, msg(31, FLOW, 0, hpos=3, hneg=3), ctx, again) == i
+        finish_vertex(v, ctx, again)
+        assert v.nbr_ids == [7, 8, 31] and again == []
 
 
 class TestOnNewMaxVertexCount:

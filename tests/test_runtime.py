@@ -9,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import growth_stream, random_add_stream
-from liveflow import GrTunables, TopologyEvent, max_flow_reference, vertex
+from liveflow import (
+    GrTunables,
+    TopologyEvent,
+    max_flow_reference,
+    sliding_window_transform,
+    vertex,
+)
 from liveflow.oracle import throughflow_vertices
 from liveflow.runtime import (
     EngineConfig,
@@ -110,7 +116,7 @@ class TestRouting:
             return handle(v, m, *args, **kwargs)
 
         monkeypatch.setattr(vertex, "on_message_received", record)
-        msgs = [Msg(50, -1, 0, FLOW, 0, k, 0) for k in range(6)]
+        msgs = [Msg(50, FLOW, 0, k, 0) for k in range(6)]
         eng.workers[0].route([(target, m) for m in msgs])
         eng.pump()
         # six injected messages in send order, then the greeting reply
@@ -124,7 +130,7 @@ class TestRouting:
     def test_fifo_violation_raises_in_debug_mode(self, dsts, swap):
         eng = sim(workers=2, seed=5)
         chan = eng.workers[0].chans[1]
-        eng.workers[1].route([(d, Msg(50 + k, -1, 0, FLOW, 0, 1, 1))
+        eng.workers[1].route([(d, Msg(50 + k, FLOW, 0, 1, 1))
                               for k, d in enumerate(dsts)])
         chan[swap], chan[swap + 1] = chan[swap + 1], chan[swap]
         with pytest.raises(RuntimeError, match="FIFO violated"):
@@ -136,7 +142,7 @@ class TestRouting:
         eng = sim(workers=2, seed=5)
         sender = eng.workers[1]
         handle = vertex.on_message_received
-        late = [Msg(51, -1, 0, FLOW, 0, 1, 1)]
+        late = [Msg(51, FLOW, 0, 1, 1)]
 
         def append_during_run(v, m, *args, **kwargs):
             if late and v.vid == 2:
@@ -144,7 +150,7 @@ class TestRouting:
             return handle(v, m, *args, **kwargs)
 
         monkeypatch.setattr(vertex, "on_message_received", append_during_run)
-        sender.route([(2, Msg(50, -1, 0, FLOW, 0, 1, 1))])
+        sender.route([(2, Msg(50, FLOW, 0, 1, 1))])
         eng.pump()
         assert eng.workers[0]._seq_in[1] == sender._seq_out[0]
         assert eng.detect_quiescence()
@@ -157,7 +163,7 @@ class TestRouting:
 
         def send():
             for b in batches:
-                sender.route([(2, Msg(51, -1, 0, FLOW, 0, 1, 1)) for _ in range(b)])
+                sender.route([(2, Msg(51, FLOW, 0, 1, 1)) for _ in range(b)])
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # interleave the two threads finely
@@ -175,7 +181,7 @@ class TestRouting:
 
     def test_message_to_unseen_vertex_materializes_it(self):
         eng = sim(workers=3, seed=2)
-        eng.workers[0].route([(12345, Msg(777, -1, 0, FLOW, 0, 4, 4))])
+        eng.workers[0].route([(12345, Msg(777, FLOW, 0, 4, 4))])
         eng.pump()
         owner = eng.workers[12345 % 3]
         v = owner.vertices[12345]
@@ -189,14 +195,14 @@ class TestRouting:
         eng.pump()
         v = eng.workers[0].vertices[1]
         before = v.excess
-        eng.workers[0].route([(1, Msg(2, -1, 0, FLOW, 0, 3, 3))])
+        eng.workers[0].route([(1, Msg(2, FLOW, 0, 3, 3))])
         eng.pump()
         assert v.excess == before
 
     def test_same_vertex_messages_fuse_into_one_run(self):
         eng = sim(workers=1, seed=4)
         w = eng.workers[0]
-        msgs = [(7, Msg(60 + k, -1, 0, FLOW, 0, 1, 1)) for k in range(5)]
+        msgs = [(7, Msg(60 + k, FLOW, 0, 1, 1)) for k in range(5)]
         w.route(msgs)
         before = w.msg_received
         w.message_run(0)  # one run consumes the whole same-destination batch
@@ -207,7 +213,7 @@ class TestRouting:
         eng = sim(workers=1, seed=3)
         eng.ingest(TopologyEvent(0, 1, 2, 4))  # queued topology work
         w = eng.workers[0]
-        w.route([(1, Msg(55, -1, 0, FLOW, 0, 1, 1))])
+        w.route([(1, Msg(55, FLOW, 0, 1, 1))])
         assert w.topo and any(w.chans)
         injected_waits = True
         while w.topo:
@@ -225,7 +231,7 @@ class TestQuiescence:
 
     def test_queued_message_blocks_quiescence(self):
         eng = sim()
-        eng.workers[0].route([(5, Msg(6, -1, 0, FLOW, 0, 1, 1))])
+        eng.workers[0].route([(5, Msg(6, FLOW, 0, 1, 1))])
         assert eng.detect_quiescence() is False
 
     def test_threaded_quiescence_reached_and_mailboxes_empty(self):
@@ -292,6 +298,43 @@ class TestQuery:
         assert res.flow_value == want == 10
         assert eng.scan_invariants() == []
         assert res.involved == throughflow_vertices(flow) == {0, 1, 9}
+
+    @staticmethod
+    def ledger_involved(eng):
+        """The through-flow set computed from the capacity ledger: flow on
+        (u, w) is ``store.caps[(u, w)]`` minus u's outbound residual, with
+        the sink's slots and every slot whose neighbour is the source
+        skipped."""
+        caps = eng.store.caps
+        involved = set()
+        for vid, v in eng.vertices_items():
+            if vid == eng.sink:
+                continue
+            for i, w in enumerate(v.nbr_ids):
+                cap = caps.get((vid, w), 0)
+                if w != eng.source and cap > 0 and cap - v.res_out[i] > 0:
+                    involved.update((vid, w))
+        return involved
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_involved_vertices_match_the_ledger_on_windowed_streams(self, workers):
+        # Deletions lower capacities under flow; extraction reads each
+        # slot's own capacity and must agree with the ledger at every query.
+        flowing = deletions = 0
+        for trial in range(3):
+            rng = random.Random(1000 * workers + trial)
+            events = list(sliding_window_transform(
+                growth_stream(rng, 500, 30, st_edge_prob=0.12), 90))
+            deletions += sum(1 for ev in events if ev.delta < 0)
+            eng = sim(source=0, sink=1, workers=workers, seed=trial)
+            for k, ev in enumerate(events):
+                eng.ingest(ev)
+                if k % 25 == 24 or k == len(events) - 1:
+                    res = eng.query()
+                    assert set(res.involved) == self.ledger_involved(eng)
+                    flowing += res.flow_value > 0
+            assert eng.scan_invariants() == []
+        assert deletions > 300 and flowing > 20
 
     def test_events_ingested_recorded(self):
         eng = sim()
