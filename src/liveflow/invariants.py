@@ -84,7 +84,7 @@ def scan(engine) -> List[str]:
             if w is None:
                 err(f"edge ({vid},{wid}): neighbour never materialized")
                 continue
-            j = vx.slot_of(w, vid)
+            j = w.nbr_index.get(vid, -1)
             if j < 0:
                 err(f"edge ({vid},{wid}): neighbour tables are asymmetric")
                 continue
@@ -114,12 +114,12 @@ def scan(engine) -> List[str]:
                     f"{v.mirror_hneg[i]} != {w.height_neg}"
                 )
             # Mirrors always equal the last transmitted value.
-            if w.sent_hpos[j] != vx.UNSENT and v.mirror_hpos[i] != w.sent_hpos[j]:
+            if v.mirror_hpos[i] != w.sent_hpos[j]:
                 err(
                     f"edge ({vid},{wid}): mirror {v.mirror_hpos[i]} != "
                     f"last sent {w.sent_hpos[j]}"
                 )
-            if w.sent_hneg[j] != vx.UNSENT and v.mirror_hneg[i] != w.sent_hneg[j]:
+            if v.mirror_hneg[i] != w.sent_hneg[j]:
                 err(
                     f"edge ({vid},{wid}): negative mirror {v.mirror_hneg[i]} != "
                     f"last sent {w.sent_hneg[j]}"

@@ -1,12 +1,13 @@
 """Emulated-distributed execution of the vertex program.
 
 Vertices are partitioned over workers by id modulo worker count. Each worker
-owns a topology FIFO plus one message FIFO per sending worker (so per
-ordered worker pair, messages arrive in send order), and never touches
-another worker's vertices. Topology events are prioritized over algorithmic
-messages. The workers are logical: one seeded scheduler
+owns a topology FIFO plus one message FIFO per sending worker, and never
+touches another worker's vertices. Topology events are prioritized over
+algorithmic messages. The workers are logical: one seeded scheduler
 (``SimEngine._run_steps``) interleaves them, and ``SimEngine._run_gr`` is the
-only global-relabel driver.
+only global-relabel driver. One thread appends to and pops from every
+message channel, so per ordered worker pair messages arrive in send order:
+the order of the channel's deque.
 
 Two execution modes run that same code:
 
@@ -28,10 +29,10 @@ Replay contract of the deterministic mode: the same seed and the same
 configuration, fed the same events and queries, give the same schedule,
 the same work counts (messages sent and received, topology events, lifts,
 relabel runs, scheduler steps) and the same flow value at every query. The
-``debug`` checks observe the run without changing it. The scheduler's
-random draws are therefore part of the contract: with two or more workers
-it draws a worker and then a channel from the seeded generator once per
-quantum; with one worker it never draws.
+relabel's ``debug`` checks observe the run without changing it. The
+scheduler's random draws are therefore part of the contract: with two or
+more workers it draws a worker and then a channel from the seeded generator
+once per quantum; with one worker it never draws.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ class EngineConfig:
     alpha: float = 1.1                      # projection factor for the vertex count
     deterministic_seed: Optional[int] = None
     gr: GrTunables = field(default_factory=GrTunables)
-    debug: bool = False
+    debug: bool = False                     # check relabel conservation and monotone descent
 
     def validate(self) -> None:
         if self.source == self.sink:
@@ -169,9 +170,8 @@ class Worker:
     """One shared-nothing partition: owned vertices, a topology FIFO, and a
     message FIFO per sending worker.
 
-    ``outboxes[k]`` is worker k's channel from this worker; it and the
-    engine's ``debug`` flag are cached here because every handler run reads
-    them."""
+    ``outboxes[k]`` is worker k's channel from this worker, cached here
+    because every handler run reads it."""
 
     __slots__ = (
         "wid",
@@ -182,13 +182,9 @@ class Worker:
         "chans",
         "outboxes",
         "nworkers",
-        "debug",
-        "topo_enabled",
         "msg_sent",
         "msg_received",
         "topo_received",
-        "_seq_out",
-        "_seq_in",
     )
 
     def __init__(self, wid: int, nworkers: int, engine: "SimEngine"):
@@ -200,13 +196,9 @@ class Worker:
         self.chans = [deque() for _ in range(nworkers)]
         self.outboxes: List[deque] = []   # filled by the engine
         self.nworkers = nworkers
-        self.debug = engine.debug
-        self.topo_enabled = True
         self.msg_sent = 0
         self.msg_received = 0
         self.topo_received = 0
-        self._seq_out = [0] * nworkers
-        self._seq_in = [0] * nworkers
 
     # -- vertex and message plumbing -------------------------------------
 
@@ -228,49 +220,10 @@ class Worker:
         if not out:
             return
         n = self.nworkers
-        if self.debug:
-            seq_out = self._seq_out
-            for dst, m in out:
-                k = dst % n
-                m.seq = seq_out[k]
-                seq_out[k] += 1
         outboxes = self.outboxes
         for item in out:
             outboxes[item[0] % n].append(item)
         self.msg_sent += len(out)
-
-    def _check_enter(self, v: vx.VertexState) -> None:
-        """Debug mode: mark v as inside a handler run, refusing re-entry.
-        The run clears the mark when it ends."""
-        if v.in_handler:
-            raise RuntimeError(f"re-entrant handler on vertex {v.vid}")
-        v.in_handler = True
-
-    def _check_message_run(self, ci: int) -> int:
-        """Debug mode, once per message run, before it pops: the run's
-        vertex must not be inside a handler run, and the run's messages must
-        carry the channel's next sequence numbers. Returns how many messages
-        were checked; ``message_run`` consumes exactly that many. Only this
-        worker pops its channels, so the checked prefix stays put while
-        senders on other threads append behind it."""
-        chan = self.chans[ci]
-        dst = chan[0][0]
-        self._check_enter(self.get_vertex(dst))
-        expect = self._seq_in[ci]
-        limit = min(len(chan), RUN_CAP)
-        k = 0
-        while k < limit:
-            d, m = chan[k]  # indexed, not iterated: senders may append
-            if k and d != dst:
-                break
-            if m.seq != expect:
-                raise RuntimeError(
-                    f"channel {ci}->{self.wid} FIFO violated: seq {m.seq} != {expect}"
-                )
-            expect += 1
-            k += 1
-        self._seq_in[ci] = expect
-        return k
 
     # -- handler runs ------------------------------------------------------
 
@@ -278,9 +231,6 @@ class Worker:
         topo = self.topo
         item = topo.popleft()
         v = self.get_vertex(item[1])
-        debug = self.debug
-        if debug:
-            self._check_enter(v)
         out: list = []
         count = 1
         if item[0] == TOPO_NEWMAX:
@@ -300,8 +250,6 @@ class Worker:
                 item = topo.popleft()
                 count += 1
             vx.finish_vertex(v, ctx, out)
-        if debug:
-            v.in_handler = False
         self.route(out)
         self.topo_received += count
 
@@ -309,8 +257,6 @@ class Worker:
         """Consume the channel's next message plus up to RUN_CAP - 1 directly
         following messages for the same vertex, as one handler run."""
         chan = self.chans[ci]
-        debug = self.debug
-        cap = self._check_message_run(ci) if debug else RUN_CAP
         dst, m = chan.popleft()
         v = self.vertices.get(dst)
         if v is None:
@@ -320,27 +266,24 @@ class Worker:
         handle = vx.on_message_received
         handle(v, m, ctx, out)
         count = 1
-        while count < cap and chan and chan[0][0] == dst:
+        while count < RUN_CAP and chan and chan[0][0] == dst:
             handle(v, chan.popleft()[1], ctx, out)
             count += 1
         vx.finish_vertex(v, ctx, out)
-        if debug:
-            v.in_handler = False
         self.route(out)
         self.msg_received += count
 
     # -- global relabel ------------------------------------------------------
 
     def enter_phase(self, phase: str, n_projected: int) -> None:
-        """This worker's share of a global-relabel phase: drain parks lifts
-        and topology, relabel-up resets heights, relabel-down parks pushes
-        and starts the descent, normal resumes all and discharges parked
-        excess."""
+        """This worker's share of a global-relabel phase: drain parks lifts,
+        relabel-up resets heights, relabel-down parks pushes and starts the
+        descent, normal resumes all and discharges parked excess. Topology
+        stays queued while the relabel drains (``_run_steps(topo=False)``)."""
         ctx = self.ctx
         out: list = []
         if phase == PHASE_DRAIN:
             ctx.lift_enabled = False
-            self.topo_enabled = False
         elif phase == PHASE_RELABEL_UP:
             for v in self.vertices.values():
                 vx.relabel_up(v, n_projected)
@@ -351,7 +294,6 @@ class Worker:
         elif phase == PHASE_NORMAL:
             ctx.push_enabled = True
             ctx.lift_enabled = True
-            self.topo_enabled = True
             for v in self.vertices.values():
                 if v.excess != 0:
                     vx.discharge(v, ctx, out)
@@ -377,7 +319,6 @@ class SimEngine:
         self.workers = [Worker(i, config.workers, self) for i in range(config.workers)]
         for w in self.workers:
             w.outboxes = [peer.chans[w.wid] for peer in self.workers]
-        self.topo_sent = 0
         self.events_ingested = 0
         self.last_event_ts = 0
         self.rng = random.Random(config.deterministic_seed)
@@ -400,7 +341,6 @@ class SimEngine:
         self.workers[ev.src % self.nworkers].topo.append(
             (TOPO_EDGE, ev.src, ev.dst, ev.delta)
         )
-        self.topo_sent += 1
         self.events_ingested += 1
         self.last_event_ts = ev.ts
 
@@ -409,17 +349,8 @@ class SimEngine:
             self.workers[vid % self.nworkers].topo.append(
                 (TOPO_NEWMAX, vid, n_projected)
             )
-            self.topo_sent += 1
 
     # -- quiescence ----------------------------------------------------------
-
-    def _counters(self) -> Tuple[int, int, int]:
-        ms = mr = tr = 0
-        for w in self.workers:
-            ms += w.msg_sent
-            mr += w.msg_received
-            tr += w.topo_received
-        return ms, mr, tr
 
     def _queues_empty(self) -> bool:
         for w in self.workers:
@@ -431,15 +362,10 @@ class SimEngine:
         return True
 
     def detect_quiescence(self) -> bool:
-        """True only when no queued or in-flight message or event exists
-        anywhere (received counts rise only after a handler run completes)."""
-        ms, mr, tr = self._counters()
-        return (
-            self.gr.phase == PHASE_NORMAL
-            and ms == mr
-            and tr == self.topo_sent
-            and self._queues_empty()
-        )
+        """True when no relabel is running and every queue is empty. Handler
+        runs are plain calls on the caller's thread, so none is in flight
+        when the caller asks."""
+        return self.gr.phase == PHASE_NORMAL and self._queues_empty()
 
     # -- extraction ----------------------------------------------------------
 
@@ -517,19 +443,19 @@ class SimEngine:
     def _now_ms(self) -> float:
         return self._steps / SIM_STEPS_PER_MS
 
-    def _run_steps(self, budget: Optional[int]) -> int:
+    def _run_steps(self, budget: Optional[int], topo: bool = True) -> int:
         """The seeded scheduler: run up to ``budget`` handler runs (all
-        pending work when None) and return how many ran.
+        pending work when None) and return how many ran. With ``topo`` False
+        (the relabel's drains) topology events stay queued.
 
         The loop works in quanta. With two or more workers each quantum
         draws a worker with work, then one of its non-empty message
         channels; each draw starts at a random index and scans circularly.
         The quantum then runs up to QUANTUM consecutive handler runs on that
         worker: its topology FIFO first, checked before every run, else the
-        drawn channel. It ends early when both are empty. Workers whose
-        topology is disabled (relabel phases) are chosen for messages only.
-        With one worker there is nothing to choose and nothing is drawn, so
-        the schedule is one handler run at a time, topology first."""
+        drawn channel. It ends early when both are empty. With one worker
+        there is nothing to choose and nothing is drawn, so the schedule is
+        one handler run at a time, topology first."""
         workers = self.workers
         n = len(workers)
         random = self.rng.random
@@ -543,7 +469,7 @@ class SimEngine:
                 k = int(random() * n)
                 for _ in range(n):
                     w = workers[k]
-                    if (w.topo_enabled and w.topo) or any(w.chans):
+                    if (topo and w.topo) or any(w.chans):
                         break
                     k = k + 1 if k + 1 < n else 0
                 else:
@@ -558,7 +484,7 @@ class SimEngine:
             quantum = QUANTUM if budget is None else min(QUANTUM, budget - done)
             ran = 0
             while ran < quantum:
-                if w.topo_enabled and w.topo:
+                if topo and w.topo:
                     topo_run(w)
                 elif chan:
                     message_run(w, ci)
@@ -615,7 +541,7 @@ class SimEngine:
         gr.advance(PHASE_DRAIN)
         for w in self.workers:
             w.enter_phase(PHASE_DRAIN, np_)
-        self._run_steps(None)  # topology is disabled: drains messages only
+        self._run_steps(None, topo=False)
 
         excess_before = None
         if self.debug:
@@ -634,7 +560,7 @@ class SimEngine:
         gr.advance(PHASE_RELABEL_DOWN)
         for w in self.workers:
             w.enter_phase(PHASE_RELABEL_DOWN, np_)
-        self._run_steps(None)  # topology is disabled: drains messages only
+        self._run_steps(None, topo=False)
 
         if self.debug:
             for vid, v in self.vertices_items():

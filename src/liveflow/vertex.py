@@ -48,7 +48,6 @@ __all__ = [
     "OpContext",
     "VertexState",
     "add_neighbour",
-    "slot_of",
     "push",
     "discharge",
     "restore_height_invariant",
@@ -77,12 +76,9 @@ class Msg:
     arrives as the INF sentinel (see :func:`_send`), so both mirrors are
     overwritten on receipt. The receiver finds the sender's slot by id in
     its ``nbr_index``.
-
-    ``seq`` is a per-channel sequence number, stamped by the runtime's
-    routing in debug mode only (unset otherwise).
     """
 
-    __slots__ = ("sender", "kind", "amount", "hpos", "hneg", "seq")
+    __slots__ = ("sender", "kind", "amount", "hpos", "hneg")
 
     def __init__(self, sender, kind, amount, hpos, hneg):
         self.sender = sender
@@ -144,7 +140,6 @@ class VertexState:
         "last_bcast_pos",
         "last_bcast_neg",
         "pending_dirty",
-        "in_handler",
     )
 
     def __init__(self, vid: int, vtype: int):
@@ -170,7 +165,6 @@ class VertexState:
         self.last_bcast_pos = self.height_pos
         self.last_bcast_neg = self.height_neg
         self.pending_dirty: List[int] = []
-        self.in_handler = False
 
     def __repr__(self):  # pragma: no cover - debugging aid
         t = {SOURCE: "S", SINK: "T", NORMAL: "N"}[self.vtype]
@@ -190,10 +184,6 @@ def add_neighbour(v: VertexState, w: int) -> int:
     v.cap_out.append(0)
     v.nbr_index[w] = i
     return i
-
-
-def slot_of(v: VertexState, w: int) -> int:
-    return v.nbr_index.get(w, -1)
 
 
 def _send(v: VertexState, i: int, kind: int, amount: int, out: list) -> None:

@@ -19,7 +19,6 @@ from liveflow.vertex import (
     on_edge_changed,
     on_message_received,
     on_new_max_vertex_count,
-    slot_of,
 )
 from test_vertex_ops import flows, make_vertex, wire
 
@@ -42,7 +41,7 @@ class TestOnEdgeChanged:
         ctx, out = OpContext(), []
         assert on_edge_changed(v, 3, 7, ctx, out, SRC_ID) == -1
         finish_vertex(v, ctx, out)
-        assert out == [] and slot_of(v, 3) == -1 and v.excess == 5
+        assert out == [] and 3 not in v.nbr_index and v.excess == 5
 
     def test_edge_into_source_ignored(self):
         v = make_vertex(vid=3)

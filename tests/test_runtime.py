@@ -125,60 +125,6 @@ class TestRouting:
         # last write wins: the reply carries a suppressed (INF) height
         assert v.mirror_hpos[v.nbr_index[50]] == INF
 
-    @pytest.mark.parametrize("dsts, swap", [((2, 4, 6), 0), ((2, 2, 2), 1)],
-                             ids=["run-head", "inside-run"])
-    def test_fifo_violation_raises_in_debug_mode(self, dsts, swap):
-        eng = sim(workers=2, seed=5)
-        chan = eng.workers[0].chans[1]
-        eng.workers[1].route([(d, Msg(50 + k, FLOW, 0, 1, 1))
-                              for k, d in enumerate(dsts)])
-        chan[swap], chan[swap + 1] = chan[swap + 1], chan[swap]
-        with pytest.raises(RuntimeError, match="FIFO violated"):
-            eng.pump()
-
-    def test_debug_run_leaves_messages_appended_during_it(self, monkeypatch):
-        # A sender on another thread may append to a channel while a run is
-        # inside its handlers; the run consumes only the messages it checked.
-        eng = sim(workers=2, seed=5)
-        sender = eng.workers[1]
-        handle = vertex.on_message_received
-        late = [Msg(51, FLOW, 0, 1, 1)]
-
-        def append_during_run(v, m, *args, **kwargs):
-            if late and v.vid == 2:
-                sender.route([(2, late.pop())])
-            return handle(v, m, *args, **kwargs)
-
-        monkeypatch.setattr(vertex, "on_message_received", append_during_run)
-        sender.route([(2, Msg(50, FLOW, 0, 1, 1))])
-        eng.pump()
-        assert eng.workers[0]._seq_in[1] == sender._seq_out[0]
-        assert eng.detect_quiescence()
-
-    def test_debug_runs_with_a_concurrent_sender(self):
-        eng = sim(workers=2, seed=5)
-        w, sender = eng.workers
-        chan = w.chans[1]
-        batches = [k % 4 + 1 for k in range(4000)]
-
-        def send():
-            for b in batches:
-                sender.route([(2, Msg(51, FLOW, 0, 1, 1)) for _ in range(b)])
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)  # interleave the two threads finely
-        t = threading.Thread(target=send)
-        try:
-            t.start()
-            while t.is_alive() or chan:
-                if chan:
-                    w.message_run(1)
-        finally:
-            t.join()
-            sys.setswitchinterval(interval)
-        assert w._seq_in[1] == sum(batches)
-        assert w.msg_received == sum(batches)
-
     def test_message_to_unseen_vertex_materializes_it(self):
         eng = sim(workers=3, seed=2)
         eng.workers[0].route([(12345, Msg(777, FLOW, 0, 4, 4))])
@@ -234,6 +180,15 @@ class TestQuiescence:
         eng.workers[0].route([(5, Msg(6, FLOW, 0, 1, 1))])
         assert eng.detect_quiescence() is False
 
+    def test_queued_topology_event_blocks_quiescence(self):
+        # Ingested but not yet pumped: only the topology FIFO holds it.
+        eng = sim(workers=2)
+        eng.ingest(TopologyEvent(0, 1, 2, 4))
+        assert not any(c for w in eng.workers for c in w.chans)
+        assert eng.detect_quiescence() is False
+        eng.pump()
+        assert eng.detect_quiescence() is True
+
     def test_threaded_quiescence_reached_and_mailboxes_empty(self):
         eng = ThreadedEngine(EngineConfig(source=0, sink=9, workers=3, debug=True))
         try:
@@ -245,9 +200,8 @@ class TestQuiescence:
                 assert time.monotonic() < deadline, "never became quiescent"
                 time.sleep(0.001)
             assert eng._queues_empty()
-            ms, mr, tr = eng._counters()
-            assert ms == mr
-            assert tr == eng.topo_sent
+            assert (sum(w.msg_sent for w in eng.workers)
+                    == sum(w.msg_received for w in eng.workers))
         finally:
             eng.close()
 
