@@ -1,13 +1,14 @@
 """Event-log parsing, sliding-window deletion synthesis, and rate pacing.
 
-Event logs are plain text, one event per line, whitespace separated:
+Event logs are plain text, one event per line, fields separated by any
+whitespace (so ``\\r\\n`` line ends are accepted):
 
     [a|d] <timestamp> <src> <dst> [<weight>]
 
 A missing op marker means ``a`` (add); a missing weight means 1. A ``d``
 marker negates the weight, turning the line into a capacity removal. Lines
-starting with ``#`` are comments. Timestamps must be non-decreasing across
-the file.
+whose first non-blank character is ``#`` are comments. Timestamps must be
+non-decreasing across the file.
 
 A stream is *delete-valid* when no prefix drives the cumulative capacity of
 any ordered vertex pair negative. :func:`sliding_window_transform` always
@@ -18,8 +19,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, List, NamedTuple, Optional
 
 __all__ = [
     "TopologyEvent",
@@ -33,9 +33,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TopologyEvent:
-    """One timestamped edge-capacity change. Deletions carry a negative delta."""
+class TopologyEvent(NamedTuple):
+    """One timestamped edge-capacity change. Deletions carry a negative delta.
+
+    A named tuple: immutable, hashable, equal by value, iterable as
+    ``(ts, src, dst, delta)`` and equal to that plain 4-tuple."""
 
     ts: int
     src: int
@@ -44,7 +46,8 @@ class TopologyEvent:
 
 
 class StreamFormatError(ValueError):
-    """A line that does not match the event grammar."""
+    """A line that does not match the event grammar, or a timestamp that
+    regresses in a log read by :func:`read_event_log`."""
 
     def __init__(self, message: str, line_no: Optional[int] = None):
         self.line_no = line_no
@@ -54,10 +57,43 @@ class StreamFormatError(ValueError):
 
 
 class StreamOrderError(ValueError):
-    """Timestamps regressed, or a transform received input it cannot order."""
+    """A transform received input it cannot order: a deletion, or a
+    timestamp regression, in a stream that must be add-only and sorted.
+    Only the transforms raise it; :func:`read_event_log` reports a
+    regressing timestamp as a :class:`StreamFormatError`."""
 
 
 _OP_MARKERS = ("a", "d")
+# TopologyEvent(...) is a Python-level __new__ that makes exactly this call;
+# the parser makes it directly, which halves the cost of building an event.
+_new_event = tuple.__new__
+
+
+def _fields_event(fields: List[str], line: str, line_no: Optional[int]) -> TopologyEvent:
+    """Decode the whitespace-split, non-empty fields of one event line.
+    ``line`` is only read to quote it in an error."""
+    i = 1 if fields[0] in _OP_MARKERS else 0
+    n = len(fields) - i
+    if n != 3 and n != 4:
+        raise StreamFormatError(
+            f"expected '[a|d] ts src dst [weight]', got {n} value fields", line_no
+        )
+    try:
+        ts, src, dst = int(fields[i]), int(fields[i + 1]), int(fields[i + 2])
+    except ValueError:
+        raise StreamFormatError(f"non-integer field in {line.strip()!r}", line_no) from None
+    if ts < 0 or src < 0 or dst < 0:
+        raise StreamFormatError("timestamp and vertex ids must be non-negative", line_no)
+    if n == 4:
+        try:
+            weight = int(fields[i + 3])
+        except ValueError:
+            raise StreamFormatError(f"non-integer weight in {line.strip()!r}", line_no) from None
+        if weight <= 0:
+            raise StreamFormatError(f"weight must be positive, got {weight}", line_no)
+    else:
+        weight = 1
+    return _new_event(TopologyEvent, (ts, src, dst, -weight if fields[0] == "d" else weight))
 
 
 def parse_event_line(line: str, line_no: Optional[int] = None) -> TopologyEvent:
@@ -66,31 +102,7 @@ def parse_event_line(line: str, line_no: Optional[int] = None) -> TopologyEvent:
     fields = line.split()
     if not fields:
         raise StreamFormatError("blank line is not an event", line_no)
-    op = "a"
-    if fields[0] in _OP_MARKERS:
-        op = fields[0]
-        fields = fields[1:]
-    if len(fields) not in (3, 4):
-        raise StreamFormatError(
-            f"expected '[a|d] ts src dst [weight]', got {len(fields)} value fields", line_no
-        )
-    try:
-        ts, src, dst = int(fields[0]), int(fields[1]), int(fields[2])
-    except ValueError:
-        raise StreamFormatError(f"non-integer field in {line.strip()!r}", line_no) from None
-    if ts < 0 or src < 0 or dst < 0:
-        raise StreamFormatError("timestamp and vertex ids must be non-negative", line_no)
-    if len(fields) == 4:
-        try:
-            weight = int(fields[3])
-        except ValueError:
-            raise StreamFormatError(f"non-integer weight in {line.strip()!r}", line_no) from None
-        if weight <= 0:
-            raise StreamFormatError(f"weight must be positive, got {weight}", line_no)
-    else:
-        weight = 1
-    delta = weight if op == "a" else -weight
-    return TopologyEvent(ts, src, dst, delta)
+    return _fields_event(fields, line, line_no)
 
 
 def format_event_line(ev: TopologyEvent) -> str:
@@ -103,13 +115,13 @@ def read_event_log(lines: Iterable[str]) -> Iterator[TopologyEvent]:
     """Parse an event log, skipping comments and blanks and enforcing
     non-decreasing timestamps. Accepts any iterable of lines (file objects
     included)."""
-    last_ts = None
+    last_ts = 0  # parsed timestamps are non-negative
     for line_no, raw in enumerate(lines, start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
+        fields = raw.split()
+        if not fields or fields[0][0] == "#":
             continue
-        ev = parse_event_line(stripped, line_no)
-        if last_ts is not None and ev.ts < last_ts:
+        ev = _fields_event(fields, raw, line_no)
+        if ev.ts < last_ts:
             raise StreamFormatError(
                 f"timestamp {ev.ts} regresses below {last_ts}", line_no
             )

@@ -17,6 +17,30 @@ from liveflow.events import (
 )
 
 
+class TestEventType:
+    def test_fields_cannot_be_assigned(self):
+        ev = TopologyEvent(1, 2, 3, 4)
+        with pytest.raises(AttributeError):
+            ev.ts = 5
+        assert ev.ts == 1
+
+    def test_equal_events_hash_equal_and_key_a_dict(self):
+        a, b = TopologyEvent(1, 2, 3, 4), TopologyEvent(1, 2, 3, 4)
+        assert a == b and a is not b
+        assert hash(a) == hash(b)
+        assert {a: "seen"}[b] == "seen"
+        assert TopologyEvent(1, 2, 3, -4) != a
+
+    def test_repr_names_the_four_fields(self):
+        assert repr(TopologyEvent(1, 2, 3, -4)) == "TopologyEvent(ts=1, src=2, dst=3, delta=-4)"
+
+    def test_event_is_a_4_tuple(self):
+        ev = TopologyEvent(1, 2, 3, 4)
+        assert ev == (1, 2, 3, 4)
+        ts, src, dst, delta = ev
+        assert (ts, src, dst, delta) == (ev.ts, ev.src, ev.dst, ev.delta)
+
+
 class TestParse:
     def test_full_line(self):
         assert parse_event_line("a 100 3 7 5") == TopologyEvent(100, 3, 7, 5)
@@ -63,6 +87,60 @@ class TestReadLog:
         lines = ["# header", "", "a 1 2 3 4", "   ", "# mid", "d 2 2 3 4"]
         events = list(read_event_log(lines))
         assert events == [TopologyEvent(1, 2, 3, 4), TopologyEvent(2, 2, 3, -4)]
+
+    @given(
+        items=st.lists(
+            st.one_of(
+                st.tuples(
+                    st.just("event"),
+                    st.integers(min_value=0, max_value=5),  # timestamp gap
+                    st.integers(min_value=0, max_value=99),
+                    st.integers(min_value=0, max_value=99),
+                    st.integers(min_value=-3, max_value=3).filter(bool),
+                    st.booleans(),  # write the optional marker and weight
+                    st.lists(st.sampled_from(["", " ", "\t "]), min_size=2, max_size=2),
+                    st.lists(st.sampled_from([" ", "\t", "  ", " \t"]), min_size=4, max_size=4),
+                ),
+                st.tuples(
+                    st.just("skip"),
+                    st.sampled_from(
+                        ["# comment", "#", "   # indented", "\t#tabbed", "#x glued 1 2 3",
+                         "", " ", "\t", "  \t  "]
+                    ),
+                ),
+            ),
+            max_size=30,
+        ),
+        endings=st.lists(st.sampled_from(["\n", "\r\n", ""]), min_size=30, max_size=30),
+    )
+    def test_yields_parse_of_each_event_line(self, items, endings):
+        lines, event_lines, expect = [], [], []
+        ts = 0
+        for item, end in zip(items, endings):
+            if item[0] == "skip":
+                lines.append(item[1] + end)
+                continue
+            _, gap, src, dst, delta, explicit, pads, seps = item
+            ts += gap
+            fields = [str(ts), str(src), str(dst)]
+            if explicit or delta < 0:
+                fields = ["a" if delta > 0 else "d"] + fields + [str(abs(delta))]
+            elif delta != 1:
+                fields.append(str(delta))
+            line = fields[0] + "".join(s + f for s, f in zip(seps, fields[1:]))
+            lines.append(pads[0] + line + pads[1] + end)
+            event_lines.append(lines[-1])
+            expect.append(TopologyEvent(ts, src, dst, delta))
+        events = list(read_event_log(lines))
+        assert events == [parse_event_line(line) for line in event_lines]
+        assert events == expect
+
+    def test_error_after_skipped_lines_reports_physical_line(self):
+        lines = ["# header\n", "\n", "a 1 2 3\r\n", "  \t\r\n", "  #x 5 6 7\n", "a 2 x 3\r\n"]
+        with pytest.raises(StreamFormatError) as exc:
+            list(read_event_log(lines))
+        assert exc.value.line_no == 6
+        assert str(exc.value) == "line 6: non-integer field in 'a 2 x 3'"
 
     def test_rejects_timestamp_regression(self):
         with pytest.raises(StreamFormatError) as exc:
