@@ -6,9 +6,10 @@ whitespace (so ``\\r\\n`` line ends are accepted):
     [a|d] <timestamp> <src> <dst> [<weight>]
 
 A missing op marker means ``a`` (add); a missing weight means 1. A ``d``
-marker negates the weight, turning the line into a capacity removal. Lines
-whose first non-blank character is ``#`` are comments. Timestamps must be
-non-decreasing across the file.
+marker negates the weight, turning the line into a capacity removal.
+Numeric fields are ASCII decimal digits only: no sign, no ``_`` separators,
+no other scripts' digits. Lines whose first non-blank character is ``#``
+are comments. Timestamps must be non-decreasing across the file.
 
 A stream is *delete-valid* when no prefix drives the cumulative capacity of
 any ordered vertex pair negative. :func:`sliding_window_transform` always
@@ -69,9 +70,12 @@ _OP_MARKERS = ("a", "d")
 _new_event = tuple.__new__
 
 
-def _fields_event(fields: List[str], line: str, line_no: Optional[int]) -> TopologyEvent:
-    """Decode the whitespace-split, non-empty fields of one event line.
-    ``line`` is only read to quote it in an error."""
+def _fields_event(
+    fields: List[str], line: str, line_no: Optional[int], last_ts: int = 0
+) -> TopologyEvent:
+    """Decode the whitespace-split, non-empty fields of one event line whose
+    timestamp must not fall below ``last_ts``. ``line`` is screened for what
+    ``int()`` accepts beyond ASCII digits and quoted in errors."""
     i = 1 if fields[0] in _OP_MARKERS else 0
     n = len(fields) - i
     if n != 3 and n != 4:
@@ -93,6 +97,16 @@ def _fields_event(fields: List[str], line: str, line_no: Optional[int]) -> Topol
             raise StreamFormatError(f"weight must be positive, got {weight}", line_no)
     else:
         weight = 1
+    if ts < last_ts:
+        raise StreamFormatError(f"timestamp {ts} regresses below {last_ts}", line_no)
+    # int() also takes a sign, "_" separators and non-ASCII digits. On a line
+    # with none of those every field it took is ASCII digits; check the rest.
+    if not line.isascii() or "-" in line or "+" in line or "_" in line:
+        for f in fields[i:]:
+            if not (f.isascii() and f.isdigit()):
+                raise StreamFormatError(
+                    f"numeric field {f!r} is not plain ASCII digits", line_no
+                )
     return _new_event(TopologyEvent, (ts, src, dst, -weight if fields[0] == "d" else weight))
 
 
@@ -120,11 +134,7 @@ def read_event_log(lines: Iterable[str]) -> Iterator[TopologyEvent]:
         fields = raw.split()
         if not fields or fields[0][0] == "#":
             continue
-        ev = _fields_event(fields, raw, line_no)
-        if ev.ts < last_ts:
-            raise StreamFormatError(
-                f"timestamp {ev.ts} regresses below {last_ts}", line_no
-            )
+        ev = _fields_event(fields, raw, line_no, last_ts)
         last_ts = ev.ts
         yield ev
 

@@ -1,15 +1,16 @@
-"""Global relabeling: trigger policy and the four-phase state machine.
+"""Global relabeling: trigger policy and relabel bookkeeping.
 
 Heights drift below the true residual distances as edges saturate, which
 misroutes flow. A global relabel periodically resets every height to the
-exact residual-graph distance. It runs in four phases:
+exact residual-graph distance. It is one call, ``runtime.SimEngine._run_gr``,
+made between scheduler batches with topology held, in four steps:
 
-* normal: regular execution, watching the trigger.
 * drain: lifts are disabled and all in-flight messages are processed.
 * relabel-up: every vertex jumps to INF except the fixed points
-  (source, sink, deficit vertices); vertex operations are paused.
+  (source, sink, deficit vertices).
 * relabel-down: the fixed points broadcast their heights and everyone else
   descends by height clamping only (no flow moves) until quiescent.
+* normal: pushes and lifts resume and parked excess is discharged.
 
 The trigger fires on a lift budget, or on elapsed time proportional to the
 previous relabel's duration; the time condition keeps relabels prompt even
@@ -44,14 +45,6 @@ PHASE_DRAIN = "drain"
 PHASE_RELABEL_UP = "relabel-up"
 PHASE_RELABEL_DOWN = "relabel-down"
 
-_NEXT_PHASE = {
-    PHASE_NORMAL: PHASE_DRAIN,
-    PHASE_DRAIN: PHASE_RELABEL_UP,
-    PHASE_RELABEL_UP: PHASE_RELABEL_DOWN,
-    PHASE_RELABEL_DOWN: PHASE_NORMAL,
-}
-
-
 @dataclass
 class GrTunables:
     """Trigger knobs. ``lift_threshold=None`` is the default lift budget:
@@ -75,13 +68,14 @@ class GrTunables:
 
 @dataclass
 class GrState:
-    """Phase machine state plus trigger statistics.
+    """Relabel bookkeeping plus trigger statistics.
 
-    ``last_gr_duration_ms`` starts at min_interval/time_factor so the time
-    condition is live from startup. Clock values are supplied by the engine:
-    its step clock, which counts handler runs in both execution modes. The
-    engine sets ``cut_pending`` before each trigger probe when a flow cut
-    happened since the last relabel; ``finish`` clears it.
+    ``phase`` names the running relabel's step (``PHASE_NORMAL`` between
+    relabels) for observers; the engine never branches on it. Clock values
+    are supplied by the engine: its step clock, which counts handler runs in
+    both execution modes. The engine sets ``cut_pending`` before each
+    trigger probe when a flow cut happened since the last relabel;
+    ``finish`` clears it.
     """
 
     tunables: GrTunables = field(default_factory=GrTunables)
@@ -92,23 +86,15 @@ class GrState:
     runs: int = 0
     cut_pending: bool = False
 
-    def __post_init__(self):
-        self.tunables.validate()
-        if self.last_gr_duration_ms == 0.0:
-            self.last_gr_duration_ms = (
-                self.tunables.min_interval_ms / self.tunables.time_factor
-            )
-
     def advance(self, phase: str) -> None:
-        if _NEXT_PHASE[self.phase] != phase:
-            raise RuntimeError(f"illegal phase transition {self.phase} -> {phase}")
+        """Enter the relabel's next step. Kept for observers: ``perfbench/tracer.py``
+        hooks it to open relabel spans, and counts the messages handled while
+        ``phase`` is not normal."""
         self.phase = phase
 
     def finish(self, now_ms: float, started_ms: float, lifts_total: int) -> None:
-        """Close out a completed relabel (must be back in the normal phase)."""
-        if self.phase != PHASE_NORMAL:
-            raise RuntimeError("finish() outside the normal phase")
-        self.last_gr_duration_ms = max(now_ms - started_ms, 0.0)
+        """Close out a completed relabel."""
+        self.last_gr_duration_ms = now_ms - started_ms
         self.last_gr_end_ms = now_ms
         self.lift_baseline = lifts_total
         self.cut_pending = False
@@ -119,8 +105,6 @@ def check_trigger(gr: GrState, now_ms: float, lifts_total: int, n_max: int) -> b
     """True when a relabel should start: the lift budget since the last run
     is exhausted, or the elapsed time exceeds
     max(time_factor * last duration, min interval)."""
-    if gr.phase != PHASE_NORMAL:
-        return False
     threshold = gr.tunables.lift_threshold
     if threshold is None:
         threshold = 1 if gr.cut_pending else max(n_max, 1)

@@ -21,9 +21,8 @@ Both modes run the global-relabel time rule on one step clock: handler runs
 (scheduler steps), SIM_STEPS_PER_MS of them to the "ms". Relabel timing
 therefore follows the work done, not host speed or idle wall time.
 
-A global relabel runs the phases drain, relabel-up, relabel-down and
-normal. Each worker's share of a phase is ``Worker.enter_phase``, called
-inline between the relabel's drains.
+A global relabel is one call, ``SimEngine._run_gr``, made between scheduler
+batches: drain, relabel-up, relabel-down, then normal execution resumes.
 
 Replay contract of the deterministic mode: the same seed and the same
 configuration, fed the same events and queries, give the same schedule,
@@ -41,6 +40,7 @@ import math
 import random
 import threading
 import time
+import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
@@ -273,33 +273,6 @@ class Worker:
         self.route(out)
         self.msg_received += count
 
-    # -- global relabel ------------------------------------------------------
-
-    def enter_phase(self, phase: str, n_projected: int) -> None:
-        """This worker's share of a global-relabel phase: drain parks lifts,
-        relabel-up resets heights, relabel-down parks pushes and starts the
-        descent, normal resumes all and discharges parked excess. Topology
-        stays queued while the relabel drains (``_run_steps(topo=False)``)."""
-        ctx = self.ctx
-        out: list = []
-        if phase == PHASE_DRAIN:
-            ctx.lift_enabled = False
-        elif phase == PHASE_RELABEL_UP:
-            for v in self.vertices.values():
-                vx.relabel_up(v, n_projected)
-        elif phase == PHASE_RELABEL_DOWN:
-            ctx.push_enabled = False
-            for v in self.vertices.values():
-                vx.broadcast_height_if_needed(v, out)
-        elif phase == PHASE_NORMAL:
-            ctx.push_enabled = True
-            ctx.lift_enabled = True
-            for v in self.vertices.values():
-                if v.excess != 0:
-                    vx.discharge(v, ctx, out)
-                    vx.broadcast_height_if_needed(v, out)
-        self.route(out)
-
 
 class SimEngine:
     """The engine: ingestion, seeded scheduling over logical workers,
@@ -309,7 +282,6 @@ class SimEngine:
 
     def __init__(self, config: EngineConfig):
         config.validate()
-        self.config = config
         self.source = config.source
         self.sink = config.sink
         self.nworkers = config.workers
@@ -362,10 +334,9 @@ class SimEngine:
         return True
 
     def detect_quiescence(self) -> bool:
-        """True when no relabel is running and every queue is empty. Handler
-        runs are plain calls on the caller's thread, so none is in flight
-        when the caller asks."""
-        return self.gr.phase == PHASE_NORMAL and self._queues_empty()
+        """True when every queue is empty. Handler runs and relabels are plain
+        calls on the caller's thread, so none is in flight when it asks."""
+        return self._queues_empty()
 
     # -- extraction ----------------------------------------------------------
 
@@ -430,13 +401,6 @@ class SimEngine:
 
     def close(self) -> None:
         """Stop the engine's execution; the seeded engine has nothing to stop."""
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-        return False
 
     # -- scheduling ------------------------------------------------------------
 
@@ -533,35 +497,37 @@ class SimEngine:
     # -- global relabel (synchronous) -----------------------------------------
 
     def _run_gr(self, capture: bool = False) -> Optional[GrSnapshot]:
+        """One global relabel, start to finish, with topology events held
+        (``_run_steps(topo=False)``). Workers and vertices go in stored order,
+        so the schedule replays; ``gr.advance`` marks each step for observers."""
         gr = self.gr
-        if gr.phase != PHASE_NORMAL:
-            raise RuntimeError("relabel already in progress")
         t0 = self._now_ms()
         np_ = self.store.n_projected
+
+        # Drain: park lifts and run every in-flight message.
         gr.advance(PHASE_DRAIN)
         for w in self.workers:
-            w.enter_phase(PHASE_DRAIN, np_)
+            w.ctx.lift_enabled = False
         self._run_steps(None, topo=False)
-
-        excess_before = None
         if self.debug:
             excess_before = {vid: v.excess for vid, v in self.vertices_items()}
 
+        # Relabel-up: every vertex but the fixed points jumps to INF.
         gr.advance(PHASE_RELABEL_UP)
-        for w in self.workers:
-            w.enter_phase(PHASE_RELABEL_UP, np_)
-
-        ceilings = None
+        for _, v in self.vertices_items():
+            vx.relabel_up(v, np_)
         if self.debug:
-            ceilings = {
-                vid: (v.height_pos, v.height_neg) for vid, v in self.vertices_items()
-            }
+            ceilings = {vid: (v.height_pos, v.height_neg) for vid, v in self.vertices_items()}
 
+        # Relabel-down: park pushes, broadcast, descend by clamping alone.
         gr.advance(PHASE_RELABEL_DOWN)
         for w in self.workers:
-            w.enter_phase(PHASE_RELABEL_DOWN, np_)
+            w.ctx.push_enabled = False
+            out: list = []
+            for v in w.vertices.values():
+                vx.broadcast_height_if_needed(v, out)
+            w.route(out)
         self._run_steps(None, topo=False)
-
         if self.debug:
             for vid, v in self.vertices_items():
                 if v.excess != excess_before.get(vid, 0):
@@ -572,11 +538,19 @@ class SimEngine:
 
         snap = self._capture_snapshot(np_) if capture else None
 
+        # Normal: resume pushes and lifts and discharge parked excess.
         gr.advance(PHASE_NORMAL)
         gr.finish(self._now_ms(), t0, self._total_lifts())
         self._cut_baseline = self._total_cuts()
         for w in self.workers:
-            w.enter_phase(PHASE_NORMAL, np_)
+            ctx = w.ctx
+            ctx.push_enabled = ctx.lift_enabled = True
+            out = []
+            for v in w.vertices.values():
+                if v.excess != 0:
+                    vx.discharge(v, ctx, out)
+                    vx.broadcast_height_if_needed(v, out)
+            w.route(out)
         return snap
 
     def _capture_snapshot(self, n_projected: int) -> GrSnapshot:
@@ -666,10 +640,15 @@ class ThreadedEngine(SimEngine):
             return self._extract(trigger_ts, started)
 
     def close(self) -> None:
+        """Stop the background thread, waiting up to 2 s for it; one still
+        running then (a handler run that never returns) is left with a warning."""
         with self._cond:
             self._stop = True
             self._cond.notify_all()
         self._thread.join(timeout=2.0)
+        if self._thread.is_alive():
+            msg = f"thread {self._thread.name!r} still running 2 s after close()"
+            warnings.warn(msg, RuntimeWarning, stacklevel=2)
 
 
 Engine = SimEngine  # the engine class's public name, exported as liveflow.Engine

@@ -53,11 +53,51 @@ class TestParse:
 
     @pytest.mark.parametrize(
         "line",
-        ["", "a 1 2", "x 1 2 3", "a 1 2 3 4 5", "a one 2 3", "a 1 2 3 nope"],
+        ["", "a 1 2", "x 1 2 3", "a 1 2 3 4 5", "a one 2 3", "a 1 2 3 nope",
+         "a \u0663 1_0 +5", "-0 1 2 0_1"],
     )
     def test_malformed_lines(self, line):
         with pytest.raises(StreamFormatError):
             parse_event_line(line)
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [("a -1 2 3", "timestamp and vertex ids must be non-negative"),
+         ("a 1 2 3 -4", "weight must be positive, got -4"),
+         ("a 1 2 3 -0", "weight must be positive, got 0"),
+         ("a 1 2 +3 x", "non-integer weight in 'a 1 2 +3 x'")],
+    )
+    def test_signed_lines_keep_their_message(self, line, message):
+        with pytest.raises(StreamFormatError) as exc:
+            parse_event_line(line)
+        assert str(exc.value) == message
+
+    # Spellings int() accepts that the grammar does not: a sign, "_" digit
+    # separators, and decimal digits of other scripts (Arabic-Indic, fullwidth).
+    @given(
+        fields=st.lists(
+            st.one_of(
+                st.integers(min_value=0, max_value=10**6).map(str),
+                st.integers(min_value=0, max_value=10**6).map(lambda n: f"+{n}"),
+                st.integers(min_value=10, max_value=10**6).map(lambda n: f"{n // 10}_{n % 10}"),
+                st.integers(min_value=0, max_value=9).map(lambda d: chr(0x660 + d)),
+                st.integers(min_value=0, max_value=9).map(lambda d: chr(0xFF10 + d)),
+                st.just("-0"),
+            ),
+            min_size=4,
+            max_size=4,
+        ),
+        marker=st.sampled_from(["", "a ", "d "]),
+    )
+    def test_numeric_fields_are_ascii_digits(self, fields, marker):
+        line = marker + " ".join(fields)
+        if all(f.isascii() and f.isdigit() for f in fields) and int(fields[3]) > 0:
+            sign = -1 if marker == "d " else 1
+            ts, src, dst, w = map(int, fields)
+            assert parse_event_line(line) == TopologyEvent(ts, src, dst, sign * w)
+        else:
+            with pytest.raises(StreamFormatError):
+                parse_event_line(line)
 
     @pytest.mark.parametrize("line", ["a 1 2 3 0", "a 1 2 3 -4"])
     def test_nonpositive_weight_rejected(self, line):
@@ -141,6 +181,13 @@ class TestReadLog:
             list(read_event_log(lines))
         assert exc.value.line_no == 6
         assert str(exc.value) == "line 6: non-integer field in 'a 2 x 3'"
+
+    @pytest.mark.parametrize("bad", ["a \u0663 1_0 +5", "-0 1 2 0_1", "-0 1 2"])
+    def test_non_ascii_digit_line_reports_its_line(self, bad):
+        with pytest.raises(StreamFormatError) as exc:
+            list(read_event_log(["# header", "a 0 1 2", bad, "a 9 1 2"]))
+        assert exc.value.line_no == 3
+        assert str(exc.value).startswith("line 3: numeric field ")
 
     def test_rejects_timestamp_regression(self):
         with pytest.raises(StreamFormatError) as exc:

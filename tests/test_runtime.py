@@ -358,6 +358,26 @@ class TestBackgroundThread:
         assert not eng._thread.is_alive()
         assert time.monotonic() - started < 1.0
 
+    def test_close_warns_when_the_thread_does_not_stop(self):
+        eng = ThreadedEngine(EngineConfig(source=0, sink=1, workers=2))
+        entered, release = threading.Event(), threading.Event()
+
+        def stuck_pump(max_steps=None):
+            entered.set()
+            release.wait()
+            return 0
+
+        eng.pump = stuck_pump
+        try:
+            eng.ingest(TopologyEvent(0, 0, 1, 1))  # wakes the thread into stuck_pump
+            assert entered.wait(10)
+            with pytest.warns(RuntimeWarning, match="'liveflow' still running"):
+                eng.close()
+        finally:
+            release.set()
+            eng._thread.join(10)
+        assert not eng._thread.is_alive()
+
 
 class TestInvariantScan:
     def test_requires_quiescence(self):
