@@ -36,7 +36,9 @@ stability values and ``work_counters`` differ on some stream (or that all
 three match). Host drift between separate processes is then shared by both
 sides. Only the drive (ingest plus queries) is timed: parsing, windowing
 and engine creation run untimed, so a set-up gain shows only in the
-``setup_s`` metric of the subprocess pairs.
+``setup_s`` metric of the subprocess pairs. The exit status is 1 when the
+flows, the stability values or ``work_counters`` differ on some stream,
+else 0.
 
     python3 scripts/ab_bench.py --base HEAD~1 --workload window-poll --interleave 6
 """
@@ -164,8 +166,9 @@ def match_text(differ: List[str], same: str) -> str:
     return f"flows, stability and work_counters {same}"
 
 
-def interleave(base_dir: str, workload: str, seed: int, rounds: int) -> None:
-    """Alternate the same streams through both trees in this process."""
+def interleave(base_dir: str, workload: str, seed: int, rounds: int) -> bool:
+    """Alternate the same streams through both trees in this process;
+    True when both gave the same results on every stream."""
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
     import harness
 
@@ -203,6 +206,7 @@ def interleave(base_dir: str, workload: str, seed: int, rounds: int) -> None:
           f"{statistics.median(lat['base']):.3f} ms change "
           f"{statistics.median(lat['change']):.3f} ms; "
           f"{match_text([n for n in COMPARED if n in ever_differ], 'match on every stream')}")
+    return not ever_differ
 
 
 def quartiles(values: List[float]):
@@ -270,8 +274,7 @@ def main(argv=None) -> int:
             tar.extractall(base_dir)
         if args.interleave:
             print(f"base {sha[:12]}, change = working tree of {ROOT}")
-            interleave(base_dir, args.workload, args.seed, args.interleave)
-            return 0
+            return 0 if interleave(base_dir, args.workload, args.seed, args.interleave) else 1
         for side, cwd in (("base", base_dir), ("change", ROOT)):
             counts[side] = work_counts(cwd, args.workload, args.seed)
         for i in range(args.pairs):

@@ -125,8 +125,7 @@ def run_cli(
         fresh = factory(econf)
         try:
             for (src, dst), cap in store.caps.items():
-                if cap > 0:
-                    fresh.ingest(TopologyEvent(trigger_ts, src, dst, cap))
+                fresh.ingest(TopologyEvent(trigger_ts, src, dst, cap))
             res = fresh.query(trigger_ts)
         finally:
             fresh.close()

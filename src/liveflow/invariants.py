@@ -7,6 +7,8 @@ and reports violations as human-readable strings (empty list = clean).
 Checked per vertex and per neighbour slot:
 
 * residual capacities are non-negative and symmetric across the pair;
+* the ``live`` slot index is strictly ascending, within range, and lists
+  every slot with a nonzero residual (it may also list dead slots);
 * each slot's edge capacity (``cap_out``) equals the ledger's capacity of
   the pair as the algorithm sees it;
 * residual symmetry sums match the aggregate stored capacities (skew
@@ -74,12 +76,22 @@ def scan(engine) -> List[str]:
                 err(f"sink negative height {v.height_neg} below vertex count {n_max}")
 
         ids = v.nbr_ids
+        live = v.live
+        if live and (
+            live[0] < 0
+            or live[-1] >= len(ids)
+            or any(b <= a for a, b in zip(live, live[1:]))
+        ):
+            err(f"vertex {vid}: live index {live} not strictly ascending in [0, {len(ids)})")
+        listed = set(live)
         for i in range(len(ids)):
             wid = ids[i]
             ro = v.res_out[i]
             ri = v.res_in[i]
             if ro < 0:
                 err(f"edge ({vid},{wid}): negative outbound residual {ro}")
+            if (ro or ri) and i not in listed:
+                err(f"edge ({vid},{wid}): residuals ({ro}, {ri}) on a slot missing from the live index")
             w = verts.get(wid)
             if w is None:
                 err(f"edge ({vid},{wid}): neighbour never materialized")

@@ -126,7 +126,8 @@ class GrSnapshot:
 
 class GraphStore:
     """Aggregate ordered-pair capacities, vertex census, and the projected
-    vertex count used for source/sink heights."""
+    vertex count used for source/sink heights. ``caps`` holds only pairs
+    with positive capacity: a pair deleted back to 0 is forgotten."""
 
     __slots__ = ("caps", "vertices", "n_max", "n_projected", "alpha")
 
@@ -144,7 +145,10 @@ class GraphStore:
             raise StreamValidityError(
                 f"edge {key}: cumulative capacity would become {cap}"
             )
-        self.caps[key] = cap
+        if cap:
+            self.caps[key] = cap
+        else:
+            self.caps.pop(key, None)
 
     def note_vertices(self, *vids: int) -> int:
         """Track vertex ids; returns the new projected count when it grew,
@@ -368,17 +372,23 @@ class SimEngine:
         """Vertices touching a pair that carries positive flow. The flow on
         the edge to slot i is ``cap_out[i] - res_out[i]``, read from the
         vertex alone. Pairs the algorithm ignores carry none: their
-        ``cap_out`` stays 0, and the sink's slots are skipped."""
+        ``cap_out`` stays 0, and the sink's slots are skipped. Only the
+        ``live`` slots are read: at quiescence an unlisted slot has both
+        residuals 0, so its pair has no capacity either way."""
         sink = self.sink
         involved: Set[int] = set()
         add = involved.add
         for vid, v in self.vertices_items():
             if vid == sink:
                 continue
-            for w, cap, res in zip(v.nbr_ids, v.cap_out, v.res_out):
-                if cap > res and cap > 0:
+            ids = v.nbr_ids
+            caps = v.cap_out
+            res = v.res_out
+            for i in v.live:
+                cap = caps[i]
+                if cap > res[i] and cap > 0:
                     add(vid)
-                    add(w)
+                    add(ids[i])
         return involved
 
     def _extract(self, trigger_ts: Optional[int], started: float) -> QueryResult:
@@ -520,12 +530,17 @@ class SimEngine:
             ceilings = {vid: (v.height_pos, v.height_neg) for vid, v in self.vertices_items()}
 
         # Relabel-down: park pushes, broadcast, descend by clamping alone.
+        # Only the fixed points (source, sink, deficits) left relabel-up with
+        # a finite height. Every other vertex is at (INF, INF), which
+        # relabel-up also set as its last broadcast, and has no dirty slot,
+        # so its broadcast would send nothing.
         gr.advance(PHASE_RELABEL_DOWN)
         for w in self.workers:
             w.ctx.push_enabled = False
             out: list = []
             for v in w.vertices.values():
-                vx.broadcast_height_if_needed(v, out)
+                if v.vtype != vx.NORMAL or v.excess < 0:
+                    vx.broadcast_height_if_needed(v, out)
             w.route(out)
         self._run_steps(None, topo=False)
         if self.debug:
@@ -565,7 +580,7 @@ class SimEngine:
                 deficits.add(vid)
             ids = v.nbr_ids
             res_out = v.res_out
-            for i in range(len(ids)):
+            for i in v.live:
                 if res_out[i] > 0:
                     residual[(vid, ids[i])] = res_out[i]
         return GrSnapshot(hpos, hneg, residual, deficits, n_projected)

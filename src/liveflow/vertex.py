@@ -16,6 +16,19 @@ Conventions used throughout:
   flow on the edge is ``cap_out[i] - res_out[i]``.
 * A message names its sender by id only; the receiver looks the sender's
   slot up in ``nbr_index``.
+* ``live`` lists, in ascending order, the slots that may carry residual
+  capacity: every slot whose ``res_out`` or ``res_in`` is nonzero, and
+  possibly some whose pair has died. Discharge, the full height broadcast
+  and extraction walk ``live`` instead of every slot, so a deleted edge
+  costs nothing once both its residuals are 0. A slot is re-checked only
+  where its residuals change outside a push: ``on_edge_changed``, and
+  ``on_message_received`` for a nonzero amount (height-only refreshes,
+  most of the traffic, skip it).
+  A push needs a positive residual and leaves the reverse one positive, so
+  it never has to be.
+  Dead slots stay in place, with their mirrors and sent heights: dropping
+  them would move later slots, and slot order fixes the order in which
+  messages leave, so the seeded schedule would change.
 * Heights use the sentinel ``INF``, strictly above any reachable label.
   New normal vertices start at (INF, INF) so they cannot attract flow
   before a real route to the sink (or source) is learned; they descend
@@ -33,6 +46,7 @@ Conventions used throughout:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import List, Sequence
 
 __all__ = [
@@ -120,6 +134,8 @@ class VertexState:
     capacity of the edge to neighbour i as this vertex's edge handler has
     applied it (0 for pairs the algorithm ignores), so the flow on the edge
     is ``cap_out[i] - res_out[i]`` without a lookup in the capacity ledger.
+    ``live`` is the ascending index of slots that may carry residual
+    capacity (see the module docstring).
     """
 
     __slots__ = (
@@ -137,6 +153,7 @@ class VertexState:
         "sent_hneg",
         "cap_out",
         "nbr_index",
+        "live",
         "last_bcast_pos",
         "last_bcast_neg",
         "pending_dirty",
@@ -162,6 +179,7 @@ class VertexState:
         self.sent_hneg: List[int] = []
         self.cap_out: List[int] = []
         self.nbr_index: dict = {}
+        self.live: List[int] = []
         self.last_bcast_pos = self.height_pos
         self.last_bcast_neg = self.height_neg
         self.pending_dirty: List[int] = []
@@ -183,7 +201,21 @@ def add_neighbour(v: VertexState, w: int) -> int:
     v.sent_hneg.append(UNSENT)
     v.cap_out.append(0)
     v.nbr_index[w] = i
+    v.live.append(i)
     return i
+
+
+def _relist(v: VertexState, i: int) -> None:
+    """Bring slot i's membership in ``live`` in line with its residuals:
+    listed while either is nonzero, unlisted once both are exactly 0."""
+    live = v.live
+    k = bisect_left(live, i)
+    listed = k < len(live) and live[k] == i
+    if v.res_out[i] or v.res_in[i]:
+        if not listed:
+            live.insert(k, i)
+    elif listed:
+        del live[k]
 
 
 def _send(v: VertexState, i: int, kind: int, amount: int, out: list) -> None:
@@ -263,7 +295,7 @@ def discharge(v: VertexState, ctx: OpContext, out: list) -> None:
     """
     if not ctx.push_enabled or (v.excess < 0 and v.height_neg >= INF):
         return
-    n = len(v.nbr_ids)
+    live = v.live
     normal = v.vtype == NORMAL
     while v.excess != 0:
         positive = v.excess > 0
@@ -272,7 +304,7 @@ def discharge(v: VertexState, ctx: OpContext, out: list) -> None:
         else:
             h, res, mirrors = v.height_neg, v.res_in, v.mirror_hneg
         best = INF + 1
-        for i in range(n):
+        for i in live:
             if res[i] > 0:
                 m = mirrors[i]
                 if h > m:
@@ -318,8 +350,9 @@ def broadcast_height_if_needed(
 ) -> None:
     """Send updated heights to neighbours that need them.
 
-    A full scan runs only when a height changed since the last broadcast;
-    otherwise only the ``dirty`` slots (neighbours whose residuals were
+    A full scan of the ``live`` slots runs only when a height changed since
+    the last broadcast (an unlisted slot has both residuals 0 and needs no
+    height); otherwise only the ``dirty`` slots (neighbours whose residuals were
     touched by the current handler) are re-checked, which is what re-sends a
     previously suppressed height once the relevant residual reopens. Each
     message is what :func:`_send` would build for a zero flow, written
@@ -328,7 +361,7 @@ def broadcast_height_if_needed(
     hp = v.height_pos
     hn = v.height_neg
     if hp != v.last_bcast_pos or hn != v.last_bcast_neg:
-        slots = range(len(v.nbr_ids))
+        slots = v.live
         v.last_bcast_pos = hp
         v.last_bcast_neg = hn
     else:
@@ -384,6 +417,7 @@ def on_edge_changed(
         _send(v, i, FLOW, 0, out)  # introduce ourselves to the new neighbour
     v.res_out[i] += delta
     v.cap_out[i] += delta
+    _relist(v, i)
     if v.vtype == SOURCE:
         # The source keeps enough excess to saturate all outgoing edges.
         v.excess += delta
@@ -396,8 +430,8 @@ def on_edge_changed(
 def on_message_received(v: VertexState, m: Msg, ctx: OpContext, out: list) -> int:
     """Apply one inbound message: refresh mirrors, account the flow or
     capacity offset, return any flow needed to keep the inbound residual
-    non-negative (which may leave this vertex with a deficit), then restore
-    the height invariant (:func:`restore_height_invariant`, written inline
+    non-negative (which may leave this vertex with a deficit), re-check the
+    slot's place in ``live``, then restore the height invariant (:func:`restore_height_invariant`, written inline
     here). The drain is left to :func:`finish_vertex`, which closes the
     handler run. Returns the sender's slot."""
     sender = m.sender
@@ -411,25 +445,25 @@ def on_message_received(v: VertexState, m: Msg, ctx: OpContext, out: list) -> in
     v.mirror_hneg[i] = hneg
 
     res_in = v.res_in
-    if m.kind == CAP_OFFSET:
-        res_in[i] += m.amount
-    else:
-        amt = m.amount
-        if amt:  # most messages are height-only refreshes
+    amt = m.amount
+    if amt:  # most messages are height-only refreshes
+        if m.kind == CAP_OFFSET:
+            res_in[i] += amt
+        else:
             v.res_out[i] += amt
             res_in[i] -= amt
             v.excess += amt
-
-    if res_in[i] < 0:
-        # The inbound residual went negative (capacity decrease raced past
-        # flow already sent); return enough flow to zero it, possibly going
-        # into deficit ourselves.
-        back = -res_in[i]
-        v.excess -= back
-        v.res_out[i] -= back
-        res_in[i] = 0
-        _send(v, i, FLOW, back, out)
-        ctx.cut_count += 1
+        if res_in[i] < 0:
+            # The inbound residual went negative (capacity decrease raced
+            # past flow already sent); return enough flow to zero it,
+            # possibly going into deficit ourselves.
+            back = -res_in[i]
+            v.excess -= back
+            v.res_out[i] -= back
+            res_in[i] = 0
+            _send(v, i, FLOW, back, out)
+            ctx.cut_count += 1
+        _relist(v, i)
 
     if v.excess:
         push(v, i, ctx, out)

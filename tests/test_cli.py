@@ -246,21 +246,27 @@ class TestRunCli:
         code = run_cli(cfg, out=io.StringIO(), err=io.StringIO(), engine_factory=factory)
         assert code == EXIT_OK
 
-        # the same ledger, kept independently of the CLI
+        # the same ledger, kept independently of the CLI: a running sum per
+        # pair, zeros included
         store = GraphStore(cfg.engine.alpha)
+        sums = {}
         schedule = QuerySchedule(interval)
         expected = []
 
         def expect(ts):
-            positive = {pair: cap for pair, cap in store.caps.items() if cap > 0}
+            positive = {pair: cap for pair, cap in sums.items() if cap > 0}
+            deleted = {pair for pair, cap in sums.items() if cap == 0}
             want, _ = max_flow_reference(store.snapshot(), 0, 5)
-            expected.append((ts, positive, want, len(store.caps) - len(positive)))
+            expected.append((ts, positive, want, deleted))
+            assert store.caps == positive  # pairs deleted to 0 are forgotten
 
         for ev in sliding_window_transform(read_event_log(lines), window):
             if schedule.observe(ev.ts):
                 expect(ev.ts)
             store.apply_edge(ev)
             store.note_vertices(ev.src, ev.dst)
+            key = (ev.src, ev.dst)
+            sums[key] = sums.get(key, 0) + ev.delta
         expect(ev.ts)
 
         assert len(rebuilds) == len(expected) > 2
@@ -270,7 +276,12 @@ class TestRunCli:
             assert {(e.src, e.dst): e.delta for e in ingested} == positive
             assert all(e.ts == ts for e in ingested)
             assert flow == want
-        assert any(zeros for *_, zeros in expected)  # some ledger held a zero pair
+        # some pair was deleted to 0 and is absent from the ledger and from
+        # the rebuild
+        assert any(
+            deleted and not deleted & {(e.src, e.dst) for e in ingested}
+            for (_, ingested, _), (*_, deleted) in zip(rebuilds, expected)
+        )
         assert any(want for _, _, want, _ in expected)  # and some flow was positive
 
     def test_tsv_output_shape(self, tmp_path):

@@ -1,7 +1,14 @@
 """Hand-traced unit checks of the core vertex operations."""
 
+import copy
+import random
+
 import pytest
 
+from helpers import growth_stream
+from liveflow import TopologyEvent, max_flow_reference, sliding_window_transform
+from liveflow.relabel import PHASE_RELABEL_DOWN, GrState
+from liveflow.runtime import EngineConfig, SimEngine, Worker
 from liveflow.vertex import (
     CAP_OFFSET,
     FLOW,
@@ -15,6 +22,8 @@ from liveflow.vertex import (
     add_neighbour,
     broadcast_height_if_needed,
     discharge,
+    on_edge_changed,
+    on_message_received,
     push,
     restore_height_invariant,
 )
@@ -253,3 +262,124 @@ class TestBroadcast:
         broadcast_height_if_needed(v, out, dirty=(i,))
         assert len(out) == 1
         assert out[0][1].hpos == 4
+
+
+def deliver(out, dst, w, ctx):
+    """Hand every message of ``out`` addressed to ``dst`` to vertex w."""
+    for to, m in out:
+        if to == dst:
+            on_message_received(w, m, ctx, [])
+
+
+def describe(out):
+    return [(dst, m.sender, m.kind, m.amount, m.hpos, m.hneg) for dst, m in out]
+
+
+class TestLiveIndex:
+    def test_deleted_pair_leaves_the_index_and_returns_on_its_slot(self):
+        ctx = OpContext()
+        u, w = make_vertex(vid=2), make_vertex(vid=7)
+        out = []
+        i = on_edge_changed(u, 7, 5, ctx, out, 0)
+        on_edge_changed(u, 8, 4, ctx, out, 0)
+        deliver(out, 7, w, ctx)
+        j = w.nbr_index[2]
+        assert (i, u.live, w.live) == (0, [0, 1], [j])
+
+        out = []
+        on_edge_changed(u, 7, -5, ctx, out, 0)  # the pair's whole capacity
+        deliver(out, 7, w, ctx)
+        assert (u.res_out[i], u.res_in[i], w.res_out[j], w.res_in[j]) == (0, 0, 0, 0)
+        assert u.live == [1] and u.nbr_index[7] == i
+        assert w.live == [] and w.nbr_index[2] == j
+
+        out = []
+        assert on_edge_changed(u, 7, 3, ctx, out, 0) == i
+        assert u.live == [0, 1] and len(u.nbr_ids) == 2
+        # no introduction: only the capacity offset leaves
+        assert [(dst, m.kind, m.amount) for dst, m in out] == [(7, CAP_OFFSET, 3)]
+        deliver(out, 7, w, ctx)
+        assert w.live == [j] and len(w.nbr_ids) == 1 and w.res_in[j] == 3
+
+    def test_pair_dying_under_a_push_in_flight_stays_listed_until_both_residuals_are_0(self):
+        # 0 -> 2 -> 3 -> 1 carries 5; (2, 3) is deleted while 2's push
+        # toward 3 is still in the channel, so 2's slot for 3 passes
+        # through (-x, x) and only dies once 3 returns the flow.
+        eng = SimEngine(EngineConfig(source=0, sink=1, deterministic_seed=1, debug=True))
+        events = [TopologyEvent(0, 0, 2, 5), TopologyEvent(1, 2, 3, 5), TopologyEvent(2, 3, 1, 5)]
+        for ev in events:
+            eng.ingest(ev)
+        worker = eng.workers[0]
+
+        def in_flight():
+            v = worker.vertices.get(2)
+            i = v.nbr_index.get(3, -1) if v else -1
+            pushed = any(
+                dst == 3 and m.sender == 2 and m.kind == FLOW and m.amount > 0
+                for chan in worker.chans for dst, m in chan
+            )
+            return i >= 0 and v.res_in[i] > 0 and pushed
+
+        for _ in range(1000):
+            if in_flight():
+                break
+            assert eng.pump(max_steps=1) == 1
+        assert in_flight()
+        delete = TopologyEvent(3, 2, 3, -5)
+        eng.ingest(delete)
+        events.append(delete)
+        assert eng.pump(max_steps=1) == 1  # topology first: the delete lands
+        v = worker.vertices[2]
+        i = v.nbr_index[3]
+        x = v.res_in[i]
+        assert x > 0 and v.res_out[i] == -x and i in v.live
+
+        while eng.pump(max_steps=1):
+            if v.res_out[i] or v.res_in[i]:
+                assert i in v.live
+        assert (v.res_out[i], v.res_in[i]) == (0, 0) and i not in v.live
+        assert 2 not in worker.vertices[3].live
+        want, _ = max_flow_reference(eng.store.snapshot(), 0, 1)
+        assert eng.query().flow_value == want
+        assert eng.scan_invariants() == []
+
+    def test_relabel_down_pass_routes_what_a_pass_over_every_vertex_would(self, monkeypatch):
+        # Before each relabel's descent, a copy of every worker's vertices
+        # runs the broadcast over all of them; the engine's pass over the
+        # fixed points must route exactly those messages.
+        eng = SimEngine(EngineConfig(source=0, sink=1, workers=2, deterministic_seed=3, debug=True))
+        expected = {}
+        pairs = []
+        deficits = []
+        advance, route = GrState.advance, Worker.route
+
+        def observe_advance(gr, phase):
+            advance(gr, phase)
+            if phase == PHASE_RELABEL_DOWN:
+                for w in eng.workers:
+                    out = []
+                    for v in copy.deepcopy(list(w.vertices.values())):
+                        broadcast_height_if_needed(v, out)
+                    expected[w.wid] = describe(out)
+                    deficits.extend(v.vid for v in w.vertices.values()
+                                    if v.vtype == NORMAL and v.excess < 0)
+
+        def observe_route(w, out):
+            if w.wid in expected:  # the worker's first route of the descent
+                pairs.append((expected.pop(w.wid), describe(out)))
+            route(w, out)
+
+        monkeypatch.setattr(GrState, "advance", observe_advance)
+        monkeypatch.setattr(Worker, "route", observe_route)
+        events = list(sliding_window_transform(
+            growth_stream(random.Random(5), 500, 30, st_edge_prob=0.12), 90))
+        for k, ev in enumerate(events):
+            eng.ingest(ev)
+            if k % 25 == 24:
+                want, _ = max_flow_reference(eng.store.snapshot(), 0, 1)
+                assert eng.query().flow_value == want
+        assert not expected
+        assert eng.gr.runs > 0 and len(pairs) == 2 * eng.gr.runs
+        assert deficits, "no relabel saw a deficit vertex"
+        assert all(want == got for want, got in pairs)
+        assert any(got for _, got in pairs)
