@@ -5,7 +5,8 @@
     python3 scripts/ab_bench.py --base main --workload window-poll --seed 7
 
 The base commit's files are exported with ``git archive`` into a temporary
-directory (removed afterwards), so the repository itself is not touched.
+directory (removed afterwards, also on SIGTERM), so the repository itself is
+not touched.
 Each pair runs ``perfbench/run.py`` once in the working tree and once in the
 base checkout, with the same workload, seed and run length; which side runs
 first alternates from pair to pair, so a slow drift of the host does not
@@ -52,6 +53,7 @@ import io
 import json
 import os
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -262,6 +264,8 @@ def main(argv=None) -> int:
                for c in bench["command"]]
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     sha = git("rev-parse", "--verify", args.base + "^{commit}")
+    # SIGTERM as SystemExit, so the ``finally`` below removes the export
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     tmp = tempfile.mkdtemp(prefix="ab_bench-")
     base_dir = os.path.join(tmp, sha[:12])
     runs: Dict[str, List[dict]] = {"base": [], "change": []}

@@ -31,9 +31,7 @@ from .metrics import (
     write_summary,
 )
 from .oracle import max_flow_reference
-from .relabel import GrTunables
 from .runtime import (
-    SIM_STEPS_PER_MS,
     EngineConfig,
     GraphStore,
     StreamValidityError,
@@ -105,7 +103,7 @@ def run_cli(
     engine = None if cfg.static_baseline else factory(cfg.engine)
     # the one capacity ledger: the oracle reads it, the static baseline
     # rebuilds each query from it
-    store = GraphStore(cfg.engine.alpha) if engine is None else engine.store
+    store = GraphStore() if engine is None else engine.store
     records: List[QueryRecord] = []
     schedule = QuerySchedule(cfg.query_interval)
     prev_involved: Optional[frozenset] = None
@@ -242,21 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SEED",
         help="seeded scheduling on the calling thread, for reproducible runs",
     )
-    p.add_argument("--alpha", type=float, default=EngineConfig.alpha, metavar="F")
-    p.add_argument(
-        "--gr-lift-threshold", type=int, default=GrTunables.lift_threshold, metavar="N"
-    )
-    p.add_argument(
-        "--gr-time-factor", type=float, default=GrTunables.time_factor, metavar="F"
-    )
-    p.add_argument(
-        "--gr-min-interval",
-        type=float,
-        default=GrTunables.min_interval_ms,
-        metavar="MS",
-        help="minimum time between relabels on the step clock, "
-        f'{SIM_STEPS_PER_MS:g} handler runs per "ms"',
-    )
     p.add_argument("--format", choices=("tsv", "jsonl"), default="tsv")
     p.add_argument(
         "--static-baseline",
@@ -274,13 +257,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             source=args.source,
             sink=args.sink,
             workers=args.workers,
-            alpha=args.alpha,
             deterministic_seed=args.deterministic,
-            gr=GrTunables(
-                lift_threshold=args.gr_lift_threshold,
-                time_factor=args.gr_time_factor,
-                min_interval_ms=args.gr_min_interval,
-            ),
         ),
         window=args.window,
         offered_rate=args.rate,

@@ -12,14 +12,15 @@ made between scheduler batches with topology held, in four steps:
   descends by height clamping only (no flow moves) until quiescent.
 * normal: pushes and lifts resume and parked excess is discharged.
 
-The trigger fires on a lift budget, or on elapsed time proportional to the
-previous relabel's duration; the time condition keeps relabels prompt even
-when few vertices are active and lifts are rare. The default lift budget is
-the historical maximum vertex count n_max, or 1 lift once a flow cut (a
-capacity decrease that forced a vertex to send flow back) has happened
-since the last relabel: a cut leaves excess and deficits the current
-heights were never built for, and correcting stale heights one lift at a
-time costs a height broadcast per lift. Time is the engine's step
+The trigger fires on a lift budget, or once the time since the last
+relabel reaches max(TIME_FACTOR * its duration, MIN_INTERVAL_MS); the time
+condition keeps relabels prompt even when few vertices are active and lifts
+are rare, and caps relabel overhead at roughly 1/TIME_FACTOR of runtime.
+The default lift budget is the historical maximum vertex count n_max, or 1
+lift once a flow cut (a capacity decrease that forced a vertex to send flow
+back) has happened since the last relabel: a cut leaves excess and deficits
+the current heights were never built for, and correcting stale heights one
+lift at a time costs a height broadcast per lift. Time is the engine's step
 clock in both execution modes: handler runs, 50 of them to the "ms"
 (``runtime.SIM_STEPS_PER_MS``), so relabels follow the work done and not
 host speed or idle wall time.
@@ -45,25 +46,21 @@ PHASE_DRAIN = "drain"
 PHASE_RELABEL_UP = "relabel-up"
 PHASE_RELABEL_DOWN = "relabel-down"
 
+TIME_FACTOR = 10.0       # wait at least this many times the last relabel's duration
+MIN_INTERVAL_MS = 50.0   # and at least this long: 2,500 handler runs
+
+
 @dataclass
 class GrTunables:
     """Trigger knobs. ``lift_threshold=None`` is the default lift budget:
     the historical maximum vertex count n_max, or 1 lift after a flow cut
-    since the last relabel. An explicit threshold ignores cuts.
-    ``time_factor`` caps relabel overhead at roughly 1/time_factor of
-    runtime."""
+    since the last relabel. An explicit threshold ignores cuts."""
 
     lift_threshold: Optional[int] = None
-    time_factor: float = 10.0
-    min_interval_ms: float = 50.0
 
     def validate(self) -> None:
         if self.lift_threshold is not None and self.lift_threshold <= 0:
             raise ValueError("lift threshold must be positive")
-        if self.time_factor <= 0:
-            raise ValueError("time factor must be positive")
-        if self.min_interval_ms <= 0:
-            raise ValueError("minimum interval must be positive")
 
 
 @dataclass
@@ -103,15 +100,12 @@ class GrState:
 
 def check_trigger(gr: GrState, now_ms: float, lifts_total: int, n_max: int) -> bool:
     """True when a relabel should start: the lift budget since the last run
-    is exhausted, or the elapsed time exceeds
-    max(time_factor * last duration, min interval)."""
+    is exhausted, or the elapsed time reaches
+    max(TIME_FACTOR * last duration, MIN_INTERVAL_MS)."""
     threshold = gr.tunables.lift_threshold
     if threshold is None:
         threshold = 1 if gr.cut_pending else max(n_max, 1)
     if lifts_total - gr.lift_baseline >= threshold:
         return True
-    wait = max(
-        gr.tunables.time_factor * gr.last_gr_duration_ms,
-        gr.tunables.min_interval_ms,
-    )
+    wait = max(TIME_FACTOR * gr.last_gr_duration_ms, MIN_INTERVAL_MS)
     return (now_ms - gr.last_gr_end_ms) >= wait

@@ -77,6 +77,7 @@ RUN_CAP = 32              # max handler invocations fused into one run
 QUANTUM = 8               # seeded handler runs per draw on one worker and channel
 PROBE_EVERY = 32          # scheduler steps between relabel-trigger probes
 SIM_STEPS_PER_MS = 50.0   # handler runs per "ms" of the relabel step clock
+PROJECTION_FACTOR = 1.1   # source/sink height: ceil(PROJECTION_FACTOR * n_max)
 
 
 class StreamValidityError(ValueError):
@@ -88,7 +89,6 @@ class EngineConfig:
     source: int
     sink: int
     workers: int = 1
-    alpha: float = 1.1                      # projection factor for the vertex count
     deterministic_seed: Optional[int] = None
     gr: GrTunables = field(default_factory=GrTunables)
     debug: bool = False                     # check relabel conservation and monotone descent
@@ -98,8 +98,6 @@ class EngineConfig:
             raise ValueError("source and sink must differ")
         if self.workers < 1:
             raise ValueError("need at least one worker")
-        if self.alpha <= 1.0:
-            raise ValueError("projection factor must exceed 1")
         self.gr.validate()
 
 
@@ -109,7 +107,6 @@ class QueryResult:
     flow_value: int
     involved: frozenset
     latency_s: float
-    events_ingested: int
 
 
 @dataclass
@@ -129,14 +126,13 @@ class GraphStore:
     vertex count used for source/sink heights. ``caps`` holds only pairs
     with positive capacity: a pair deleted back to 0 is forgotten."""
 
-    __slots__ = ("caps", "vertices", "n_max", "n_projected", "alpha")
+    __slots__ = ("caps", "vertices", "n_max", "n_projected")
 
-    def __init__(self, alpha: float):
+    def __init__(self):
         self.caps: Dict[Tuple[int, int], int] = {}
         self.vertices: Set[int] = set()
         self.n_max = 0
         self.n_projected = 0
-        self.alpha = alpha
 
     def apply_edge(self, ev: TopologyEvent) -> None:
         key = (ev.src, ev.dst)
@@ -162,7 +158,7 @@ class GraphStore:
         if added:
             self.n_max = len(seen)
             if self.n_max > self.n_projected:
-                self.n_projected = math.ceil(self.alpha * self.n_max)
+                self.n_projected = math.ceil(PROJECTION_FACTOR * self.n_max)
                 return self.n_projected
         return 0
 
@@ -290,12 +286,11 @@ class SimEngine:
         self.sink = config.sink
         self.nworkers = config.workers
         self.debug = config.debug
-        self.store = GraphStore(config.alpha)
+        self.store = GraphStore()
         self.gr = GrState(config.gr)
         self.workers = [Worker(i, config.workers, self) for i in range(config.workers)]
         for w in self.workers:
             w.outboxes = [peer.chans[w.wid] for peer in self.workers]
-        self.events_ingested = 0
         self.last_event_ts = 0
         self.rng = random.Random(config.deterministic_seed)
         self._steps = 0
@@ -317,7 +312,6 @@ class SimEngine:
         self.workers[ev.src % self.nworkers].topo.append(
             (TOPO_EDGE, ev.src, ev.dst, ev.delta)
         )
-        self.events_ingested += 1
         self.last_event_ts = ev.ts
 
     def _schedule_newmax(self, n_projected: int) -> None:
@@ -399,7 +393,6 @@ class SimEngine:
             flow_value=value,
             involved=involved,
             latency_s=time.perf_counter() - started,
-            events_ingested=self.events_ingested,
         )
 
     def scan_invariants(self) -> List[str]:

@@ -1,0 +1,35 @@
+import os
+import signal
+import subprocess
+import sys
+import time
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SCRIPT = os.path.join(ROOT, "scripts", "ab_bench.py")
+
+
+def test_sigterm_removes_the_base_export(tmp_path):
+    if subprocess.run(["git", "-C", ROOT, "rev-parse", "--verify", "HEAD"],
+                      capture_output=True).returncode != 0:
+        pytest.skip("needs a git checkout with a commit")
+    env = dict(os.environ, TMPDIR=str(tmp_path))
+    proc = subprocess.Popen(
+        [sys.executable, SCRIPT, "--base", "HEAD", "--interleave", "1"],
+        cwd=ROOT, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    try:
+        deadline = time.monotonic() + 30
+        while not list(tmp_path.glob("ab_bench-*")):
+            assert proc.poll() is None, "the script ended before its export existed"
+            assert time.monotonic() < deadline, "no export appeared within 30 s"
+            time.sleep(0.005)
+        proc.send_signal(signal.SIGTERM)
+        code = proc.wait(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    assert code != 0
+    assert list(tmp_path.glob("ab_bench-*")) == []

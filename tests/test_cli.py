@@ -121,25 +121,12 @@ class TestRunCli:
         [
             pytest.param(dict(engine=dict(sink=0)), "source and sink must differ", id="sink"),
             pytest.param(dict(engine=dict(workers=0)), "need at least one worker", id="workers"),
-            pytest.param(
-                dict(engine=dict(alpha=1.0)), "projection factor must exceed 1", id="alpha"
-            ),
             pytest.param(dict(window=0), "window size must be positive", id="window"),
             pytest.param(dict(offered_rate=0), "offered rate must be positive", id="offered_rate"),
             pytest.param(
                 dict(engine=dict(gr=GrTunables(lift_threshold=0))),
                 "lift threshold must be positive",
                 id="lift_threshold",
-            ),
-            pytest.param(
-                dict(engine=dict(gr=GrTunables(time_factor=0))),
-                "time factor must be positive",
-                id="time_factor",
-            ),
-            pytest.param(
-                dict(engine=dict(gr=GrTunables(min_interval_ms=0))),
-                "minimum interval must be positive",
-                id="min_interval_ms",
             ),
             pytest.param(dict(query_interval=0), "query interval must be positive", id="query_interval"),
             pytest.param(dict(output_format="xml"), "unknown output format 'xml'", id="format"),
@@ -248,7 +235,7 @@ class TestRunCli:
 
         # the same ledger, kept independently of the CLI: a running sum per
         # pair, zeros included
-        store = GraphStore(cfg.engine.alpha)
+        store = GraphStore()
         sums = {}
         schedule = QuerySchedule(interval)
         expected = []
@@ -332,23 +319,25 @@ class TestArgs:
                 "--rate", "500",
                 "--oracle-check",
                 "--deterministic", "9",
-                "--alpha", "1.2",
-                "--gr-lift-threshold", "64",
-                "--gr-time-factor", "8",
-                "--gr-min-interval", "25",
                 "--format", "jsonl",
                 "--static-baseline",
             ]
         )
         cfg = config_from_args(args)
         assert cfg.engine.source == 3 and cfg.engine.sink == 4
-        assert cfg.engine.workers == 2 and cfg.engine.alpha == 1.2
+        assert cfg.engine.workers == 2
         assert cfg.window == 100 and cfg.offered_rate == 500.0
         assert cfg.engine.deterministic_seed == 9
-        assert cfg.engine.gr.lift_threshold == 64
-        assert cfg.engine.gr.time_factor == 8.0
-        assert cfg.engine.gr.min_interval_ms == 25.0
         assert cfg.static_baseline is True
+
+    @pytest.mark.parametrize(
+        "flag", ["--alpha", "--gr-lift-threshold", "--gr-time-factor", "--gr-min-interval"]
+    )
+    def test_removed_tuning_flag_is_rejected(self, flag):
+        required = ["--input", "x.log", "--source", "3", "--sink", "4", "--query-interval", "7"]
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(required + [flag, "2"])
+        assert exc.value.code == 2
 
     def test_parser_defaults_are_the_engine_defaults(self):
         args = build_parser().parse_args(

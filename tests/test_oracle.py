@@ -52,7 +52,7 @@ def test_self_loops_ignored():
 
 def store_graph(events):
     """The capacity ledger's frozen snapshot after ``events``."""
-    store = GraphStore(alpha=1.1)
+    store = GraphStore()
     for ev in events:
         store.apply_edge(ev)
         store.note_vertices(ev.src, ev.dst)

@@ -5,16 +5,19 @@ import pytest
 from helpers import expected_heights, growth_stream, random_delete_valid_stream
 from liveflow import TopologyEvent, max_flow_reference
 from liveflow.events import sliding_window_transform
+from liveflow import relabel
 from liveflow.relabel import (
+    MIN_INTERVAL_MS,
     PHASE_DRAIN,
     PHASE_NORMAL,
     PHASE_RELABEL_DOWN,
     PHASE_RELABEL_UP,
+    TIME_FACTOR,
     GrState,
     GrTunables,
     check_trigger,
 )
-from liveflow.runtime import EngineConfig, SimEngine, ThreadedEngine, Worker
+from liveflow.runtime import SIM_STEPS_PER_MS, EngineConfig, SimEngine, ThreadedEngine, Worker
 from liveflow.vertex import INF, NORMAL, SINK, SOURCE, VertexState, relabel_up
 
 
@@ -32,18 +35,18 @@ class TestTrigger:
         assert check_trigger(gr, now_ms=1.0, lifts_total=10, n_max=5) is True
 
     def test_time_condition_uses_last_duration(self):
-        gr = GrState(GrTunables(lift_threshold=10**9, time_factor=10.0, min_interval_ms=50.0))
-        gr.last_gr_duration_ms = 10.0
+        gr = GrState(GrTunables(lift_threshold=10**9))
+        gr.last_gr_duration_ms = 2 * MIN_INTERVAL_MS / TIME_FACTOR
         gr.last_gr_end_ms = 0.0
-        # threshold is max(10 * 10ms, 50ms) = 100ms
-        assert check_trigger(gr, now_ms=99.0, lifts_total=0, n_max=5) is False
-        assert check_trigger(gr, now_ms=120.0, lifts_total=0, n_max=5) is True
+        # the wait is TIME_FACTOR * duration = twice the minimum interval
+        assert check_trigger(gr, now_ms=2 * MIN_INTERVAL_MS - 1, lifts_total=0, n_max=5) is False
+        assert check_trigger(gr, now_ms=2 * MIN_INTERVAL_MS, lifts_total=0, n_max=5) is True
 
     def test_fresh_state_waits_for_min_interval(self):
         gr = GrState(GrTunables())  # no relabel yet: the wait is the min interval
         gr.last_gr_end_ms = 0.0
-        assert check_trigger(gr, now_ms=20.0, lifts_total=0, n_max=5) is False
-        assert check_trigger(gr, now_ms=50.0, lifts_total=0, n_max=5) is True
+        assert check_trigger(gr, now_ms=MIN_INTERVAL_MS / 2, lifts_total=0, n_max=5) is False
+        assert check_trigger(gr, now_ms=MIN_INTERVAL_MS, lifts_total=0, n_max=5) is True
 
     def test_default_lift_threshold_tracks_vertex_count(self):
         gr = GrState(GrTunables())
@@ -79,14 +82,13 @@ class TestTrigger:
         def vertex_count_rule(gr, now_ms, lifts_total, n_max):
             if lifts_total - gr.lift_baseline >= max(n_max, 1):
                 return True
-            wait = max(gr.tunables.time_factor * gr.last_gr_duration_ms,
-                       gr.tunables.min_interval_ms)
+            wait = max(TIME_FACTOR * gr.last_gr_duration_ms, MIN_INTERVAL_MS)
             return now_ms - gr.last_gr_end_ms >= wait
 
         gr = GrState(GrTunables())
         gr.lift_baseline = 3
         gr.last_gr_end_ms = 10.0
-        for now_ms in (10.0, 40.0, 59.9, 60.0, 200.0):
+        for now_ms in (10.0 + f * MIN_INTERVAL_MS for f in (0, 0.6, 0.998, 1, 3.8)):
             for lifts_total in (3, 4, 7, 8, 30):
                 for n_max in (0, 1, 5, 27):
                     assert check_trigger(gr, now_ms, lifts_total, n_max) == \
@@ -251,8 +253,9 @@ class TestGlobalRelabelRuns:
         rng = random.Random(51)  # positive flow on both halves, and it changes
         s, t, events = random_delete_valid_stream(rng, max_vertices=12, max_events=120)
         cut = len(events) // 2
-        # triggers out of reach: the forced run is the only one
-        tunables = GrTunables(lift_threshold=10**9, min_interval_ms=3_600_000.0)
+        # triggers out of reach: the forced run is the only one (the stream
+        # takes far fewer steps than the time rule's minimum interval)
+        tunables = GrTunables(lift_threshold=10**9)
         eng = ThreadedEngine(
             EngineConfig(source=s, sink=t, workers=3, gr=tunables, debug=True)
         )
@@ -273,12 +276,14 @@ class TestGlobalRelabelRuns:
         finally:
             eng.close()
 
-    def test_threaded_relabel_with_backlog_gives_exact_heights(self):
+    def test_threaded_relabel_with_backlog_gives_exact_heights(self, monkeypatch):
         # The background thread is still working off the stream when the
         # relabel is forced, so excess is in flight and heights are stale:
         # only a real relabel-up and descent give the exact distances.
         events = growth_stream(random.Random(52), events=3000, vertices=60)
-        tunables = GrTunables(lift_threshold=10**9, min_interval_ms=3_600_000.0)
+        # the stream runs for thousands of steps: hold the time rule off
+        monkeypatch.setattr(relabel, "MIN_INTERVAL_MS", 3_600_000.0)
+        tunables = GrTunables(lift_threshold=10**9)
         eng = ThreadedEngine(EngineConfig(source=0, sink=1, workers=3, gr=tunables))
         try:
             for ev in events:
@@ -338,10 +343,10 @@ class TestCutTrigger:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_out_of_reach_triggers_run_no_relabel(self, workers):
-        eng = self.cut_stream_engine(workers, lift_threshold=10**9,
-                                     min_interval_ms=3_600_000.0)
+        eng = self.cut_stream_engine(workers, lift_threshold=10**9)
         self.assert_settled(eng)
         assert eng._total_cuts() > 0 and eng._total_lifts() > 0
+        assert eng._steps < MIN_INTERVAL_MS * SIM_STEPS_PER_MS  # the time rule never came due
         assert eng.gr.runs == 0
 
     def test_add_only_stream_makes_no_cut(self):

@@ -18,6 +18,7 @@ from liveflow import (
 )
 from liveflow.oracle import throughflow_vertices
 from liveflow.runtime import (
+    PROJECTION_FACTOR,
     EngineConfig,
     SimEngine,
     StreamValidityError,
@@ -51,10 +52,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             EngineConfig(source=0, sink=1, workers=0).validate()
 
-    def test_projection_factor_above_one(self):
-        with pytest.raises(ValueError):
-            EngineConfig(source=0, sink=1, alpha=1.0).validate()
-
     def test_factory_picks_mode(self):
         e = create_engine(EngineConfig(source=0, sink=1, deterministic_seed=3))
         assert isinstance(e, SimEngine)
@@ -65,14 +62,14 @@ class TestConfig:
 
 class TestIngest:
     def test_new_vertices_grow_projection_and_source_height(self):
-        eng = sim(source=100, sink=200, alpha=1.1)
-        # startup: two vertices, projected count ceil(2.2) = 3
+        eng = sim(source=100, sink=200)
+        # startup: two vertices
         assert eng.store.n_max == 2
-        assert eng.store.n_projected == 3
+        assert eng.store.n_projected == math.ceil(PROJECTION_FACTOR * 2)
         eng.ingest(TopologyEvent(0, 1, 2, 1))
         eng.pump()
         assert eng.store.n_max == 4
-        assert eng.store.n_projected == math.ceil(1.1 * 4)
+        assert eng.store.n_projected == math.ceil(PROJECTION_FACTOR * 4)
         src = eng.workers[100 % eng.nworkers].vertices[100]
         assert src.height_pos == eng.store.n_projected
 
@@ -289,12 +286,6 @@ class TestQuery:
                     flowing += res.flow_value > 0
             assert eng.scan_invariants() == []
         assert deletions > 300 and flowing > 20
-
-    def test_events_ingested_recorded(self):
-        eng = sim()
-        for ev in DIAMOND:
-            eng.ingest(ev)
-        assert eng.query().events_ingested == 5
 
 
 class TestBackgroundThread:
