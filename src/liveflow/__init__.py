@@ -17,7 +17,6 @@ from .events import (
     throttle,
 )
 from .oracle import StaticGraph, max_flow_reference, throughflow_vertices
-from .relabel import GrTunables
 from .runtime import (
     Engine,
     EngineConfig,
@@ -42,7 +41,6 @@ __all__ = [
     "StaticGraph",
     "max_flow_reference",
     "throughflow_vertices",
-    "GrTunables",
     "Engine",
     "EngineConfig",
     "QueryResult",

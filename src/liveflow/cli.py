@@ -65,7 +65,7 @@ class RunConfig:
             raise ValueError("query interval must be positive")
         if self.window is not None and self.window <= 0:
             raise ValueError("window size must be positive")
-        if self.offered_rate is not None and self.offered_rate <= 0:
+        if self.offered_rate is not None and not self.offered_rate > 0:  # NaN too
             raise ValueError("offered rate must be positive")
         if self.output_format not in ("tsv", "jsonl"):
             raise ValueError(f"unknown output format {self.output_format!r}")

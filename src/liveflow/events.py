@@ -181,7 +181,7 @@ def throttle(
     if rate is None:
         yield from stream
         return
-    if rate <= 0:
+    if not rate > 0:  # NaN too
         raise ValueError("offered rate must be positive")
     start = time.monotonic()
     released = 0

@@ -16,7 +16,7 @@ The trigger fires on a lift budget, or once the time since the last
 relabel reaches max(TIME_FACTOR * its duration, MIN_INTERVAL_MS); the time
 condition keeps relabels prompt even when few vertices are active and lifts
 are rare, and caps relabel overhead at roughly 1/TIME_FACTOR of runtime.
-The default lift budget is the historical maximum vertex count n_max, or 1
+The lift budget is the historical maximum vertex count n_max, or 1
 lift once a flow cut (a capacity decrease that forced a vertex to send flow
 back) has happened since the last relabel: a cut leaves excess and deficits
 the current heights were never built for, and correcting stale heights one
@@ -52,15 +52,11 @@ MIN_INTERVAL_MS = 50.0   # and at least this long: 2,500 handler runs
 
 @dataclass
 class GrTunables:
-    """Trigger knobs. ``lift_threshold=None`` is the default lift budget:
-    the historical maximum vertex count n_max, or 1 lift after a flow cut
-    since the last relabel. An explicit threshold ignores cuts."""
+    """Always the default: nothing sets it and ``check_trigger`` does not
+    read it. It stays as the type of ``GrState.tunables`` for observers,
+    since ``perfbench/tracer.py`` reads ``lift_threshold`` (always None)."""
 
     lift_threshold: Optional[int] = None
-
-    def validate(self) -> None:
-        if self.lift_threshold is not None and self.lift_threshold <= 0:
-            raise ValueError("lift threshold must be positive")
 
 
 @dataclass
@@ -99,13 +95,11 @@ class GrState:
 
 
 def check_trigger(gr: GrState, now_ms: float, lifts_total: int, n_max: int) -> bool:
-    """True when a relabel should start: the lift budget since the last run
-    is exhausted, or the elapsed time reaches
-    max(TIME_FACTOR * last duration, MIN_INTERVAL_MS)."""
-    threshold = gr.tunables.lift_threshold
-    if threshold is None:
-        threshold = 1 if gr.cut_pending else max(n_max, 1)
-    if lifts_total - gr.lift_baseline >= threshold:
+    """True when a relabel should start: the lifts since the last run reach
+    the budget (1 after a flow cut, else max(n_max, 1)), or the elapsed time
+    reaches max(TIME_FACTOR * last duration, MIN_INTERVAL_MS)."""
+    budget = 1 if gr.cut_pending else max(n_max, 1)
+    if lifts_total - gr.lift_baseline >= budget:
         return True
     wait = max(TIME_FACTOR * gr.last_gr_duration_ms, MIN_INTERVAL_MS)
     return (now_ms - gr.last_gr_end_ms) >= wait

@@ -28,10 +28,10 @@ Replay contract of the deterministic mode: the same seed and the same
 configuration, fed the same events and queries, give the same schedule,
 the same work counts (messages sent and received, topology events, lifts,
 relabel runs, scheduler steps) and the same flow value at every query. The
-relabel's ``debug`` checks observe the run without changing it. The
-scheduler's random draws are therefore part of the contract: with two or
-more workers it draws a worker and then a channel from the seeded generator
-once per quantum; with one worker it never draws.
+relabel's self-checks (no flow moves, heights only descend) observe the run
+without changing it. The scheduler's random draws are therefore part of the
+contract: with two or more workers it draws a worker and then a channel from
+the seeded generator once per quantum; with one worker it never draws.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import threading
 import time
 import warnings
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from . import vertex as vx
@@ -54,7 +54,6 @@ from .relabel import (
     PHASE_RELABEL_DOWN,
     PHASE_RELABEL_UP,
     GrState,
-    GrTunables,
     check_trigger,
 )
 
@@ -90,15 +89,12 @@ class EngineConfig:
     sink: int
     workers: int = 1
     deterministic_seed: Optional[int] = None
-    gr: GrTunables = field(default_factory=GrTunables)
-    debug: bool = False                     # check relabel conservation and monotone descent
 
     def validate(self) -> None:
         if self.source == self.sink:
             raise ValueError("source and sink must differ")
         if self.workers < 1:
             raise ValueError("need at least one worker")
-        self.gr.validate()
 
 
 @dataclass
@@ -285,9 +281,8 @@ class SimEngine:
         self.source = config.source
         self.sink = config.sink
         self.nworkers = config.workers
-        self.debug = config.debug
         self.store = GraphStore()
-        self.gr = GrState(config.gr)
+        self.gr = GrState()
         self.workers = [Worker(i, config.workers, self) for i in range(config.workers)]
         for w in self.workers:
             w.outboxes = [peer.chans[w.wid] for peer in self.workers]
@@ -502,7 +497,10 @@ class SimEngine:
     def _run_gr(self, capture: bool = False) -> Optional[GrSnapshot]:
         """One global relabel, start to finish, with topology events held
         (``_run_steps(topo=False)``). Workers and vertices go in stored order,
-        so the schedule replays; ``gr.advance`` marks each step for observers."""
+        so the schedule replays; ``gr.advance`` marks each step for observers.
+        Two self-checks ride on its walks and raise ``RuntimeError``: no
+        excess moves (``held``), and no height ends above where relabel-up
+        put it (``fixed`` for the fixed points, INF for every other vertex)."""
         gr = self.gr
         t0 = self._now_ms()
         np_ = self.store.n_projected
@@ -512,15 +510,14 @@ class SimEngine:
         for w in self.workers:
             w.ctx.lift_enabled = False
         self._run_steps(None, topo=False)
-        if self.debug:
-            excess_before = {vid: v.excess for vid, v in self.vertices_items()}
 
         # Relabel-up: every vertex but the fixed points jumps to INF.
         gr.advance(PHASE_RELABEL_UP)
-        for _, v in self.vertices_items():
+        held: Dict[int, int] = {}
+        for vid, v in self.vertices_items():
             vx.relabel_up(v, np_)
-        if self.debug:
-            ceilings = {vid: (v.height_pos, v.height_neg) for vid, v in self.vertices_items()}
+            if v.excess:
+                held[vid] = v.excess
 
         # Relabel-down: park pushes, broadcast, descend by clamping alone.
         # Only the fixed points (source, sink, deficits) left relabel-up with
@@ -528,25 +525,25 @@ class SimEngine:
         # relabel-up also set as its last broadcast, and has no dirty slot,
         # so its broadcast would send nothing.
         gr.advance(PHASE_RELABEL_DOWN)
+        fixed: List[Tuple[vx.VertexState, int, int]] = []
         for w in self.workers:
             w.ctx.push_enabled = False
             out: list = []
             for v in w.vertices.values():
                 if v.vtype != vx.NORMAL or v.excess < 0:
+                    fixed.append((v, v.height_pos, v.height_neg))
                     vx.broadcast_height_if_needed(v, out)
             w.route(out)
         self._run_steps(None, topo=False)
-        if self.debug:
-            for vid, v in self.vertices_items():
-                if v.excess != excess_before.get(vid, 0):
-                    raise RuntimeError(f"flow moved during relabel at vertex {vid}")
-                hp, hn = ceilings[vid]
-                if v.height_pos > hp or v.height_neg > hn:
-                    raise RuntimeError(f"non-monotone descent at vertex {vid}")
+        for v, hp, hn in fixed:
+            if v.height_pos > hp or v.height_neg > hn:
+                raise RuntimeError(f"non-monotone descent at vertex {v.vid}")
 
         snap = self._capture_snapshot(np_) if capture else None
 
-        # Normal: resume pushes and lifts and discharge parked excess.
+        # Normal: resume pushes and lifts and discharge parked excess. A
+        # discharge changes only its own vertex's excess until the routed
+        # messages run, so each check below still sees the descent's result.
         gr.advance(PHASE_NORMAL)
         gr.finish(self._now_ms(), t0, self._total_lifts())
         self._cut_baseline = self._total_cuts()
@@ -554,11 +551,17 @@ class SimEngine:
             ctx = w.ctx
             ctx.push_enabled = ctx.lift_enabled = True
             out = []
-            for v in w.vertices.values():
+            for vid, v in w.vertices.items():
+                if v.height_pos > vx.INF or v.height_neg > vx.INF:
+                    raise RuntimeError(f"non-monotone descent at vertex {vid}")
                 if v.excess != 0:
+                    if held.pop(vid, 0) != v.excess:
+                        raise RuntimeError(f"flow moved during relabel at vertex {vid}")
                     vx.discharge(v, ctx, out)
                     vx.broadcast_height_if_needed(v, out)
             w.route(out)
+        if held:  # a vertex that held excess after the drain holds none now
+            raise RuntimeError(f"flow moved during relabel at vertex {next(iter(held))}")
         return snap
 
     def _capture_snapshot(self, n_projected: int) -> GrSnapshot:

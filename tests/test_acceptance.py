@@ -47,7 +47,7 @@ def checked_query(eng):
 def sim(source, sink, workers, seed):
     return SimEngine(
         EngineConfig(
-            source=source, sink=sink, workers=workers, deterministic_seed=seed, debug=True
+            source=source, sink=sink, workers=workers, deterministic_seed=seed
         )
     )
 

@@ -18,7 +18,6 @@ from liveflow.cli import (
 from liveflow.events import read_event_log, sliding_window_transform
 from liveflow.metrics import QuerySchedule
 from liveflow.oracle import max_flow_reference
-from liveflow.relabel import GrTunables
 from liveflow.runtime import EngineConfig, GraphStore, create_engine
 
 DIAMOND_LOG = """\
@@ -124,9 +123,7 @@ class TestRunCli:
             pytest.param(dict(window=0), "window size must be positive", id="window"),
             pytest.param(dict(offered_rate=0), "offered rate must be positive", id="offered_rate"),
             pytest.param(
-                dict(engine=dict(gr=GrTunables(lift_threshold=0))),
-                "lift threshold must be positive",
-                id="lift_threshold",
+                dict(offered_rate=float("nan")), "offered rate must be positive", id="offered_rate_nan"
             ),
             pytest.param(dict(query_interval=0), "query interval must be positive", id="query_interval"),
             pytest.param(dict(output_format="xml"), "unknown output format 'xml'", id="format"),

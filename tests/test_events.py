@@ -281,6 +281,10 @@ class TestThrottle:
         with pytest.raises(ValueError):
             list(throttle([TopologyEvent(0, 0, 1, 1)], 0))
 
+    def test_rate_nan_rejected(self):
+        with pytest.raises(ValueError, match="offered rate must be positive"):
+            list(throttle([TopologyEvent(0, 0, 1, 1)], float("nan")))
+
     def test_long_run_rate_is_bounded(self):
         stream = [TopologyEvent(i, 0, 1, 1) for i in range(2000)]
         start = time.monotonic()

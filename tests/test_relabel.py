@@ -5,7 +5,7 @@ import pytest
 from helpers import expected_heights, growth_stream, random_delete_valid_stream
 from liveflow import TopologyEvent, max_flow_reference
 from liveflow.events import sliding_window_transform
-from liveflow import relabel
+from liveflow import runtime
 from liveflow.relabel import (
     MIN_INTERVAL_MS,
     PHASE_DRAIN,
@@ -14,7 +14,6 @@ from liveflow.relabel import (
     PHASE_RELABEL_UP,
     TIME_FACTOR,
     GrState,
-    GrTunables,
     check_trigger,
 )
 from liveflow.runtime import SIM_STEPS_PER_MS, EngineConfig, SimEngine, ThreadedEngine, Worker
@@ -23,19 +22,17 @@ from liveflow.vertex import INF, NORMAL, SINK, SOURCE, VertexState, relabel_up
 
 def sim(source=0, sink=9, workers=1, seed=1, **kw):
     return SimEngine(
-        EngineConfig(source=source, sink=sink, workers=workers, deterministic_seed=seed, debug=True, **kw)
+        EngineConfig(source=source, sink=sink, workers=workers, deterministic_seed=seed, **kw)
     )
 
 
-class TestTrigger:
-    def test_lift_budget_boundary(self):
-        gr = GrState(GrTunables(lift_threshold=10))
-        gr.last_gr_end_ms = 0.0
-        assert check_trigger(gr, now_ms=1.0, lifts_total=9, n_max=5) is False
-        assert check_trigger(gr, now_ms=1.0, lifts_total=10, n_max=5) is True
+def never_trigger(gr, now_ms, lifts_total, n_max):
+    return False
 
+
+class TestTrigger:
     def test_time_condition_uses_last_duration(self):
-        gr = GrState(GrTunables(lift_threshold=10**9))
+        gr = GrState()
         gr.last_gr_duration_ms = 2 * MIN_INTERVAL_MS / TIME_FACTOR
         gr.last_gr_end_ms = 0.0
         # the wait is TIME_FACTOR * duration = twice the minimum interval
@@ -43,26 +40,26 @@ class TestTrigger:
         assert check_trigger(gr, now_ms=2 * MIN_INTERVAL_MS, lifts_total=0, n_max=5) is True
 
     def test_fresh_state_waits_for_min_interval(self):
-        gr = GrState(GrTunables())  # no relabel yet: the wait is the min interval
+        gr = GrState()  # no relabel yet: the wait is the min interval
         gr.last_gr_end_ms = 0.0
         assert check_trigger(gr, now_ms=MIN_INTERVAL_MS / 2, lifts_total=0, n_max=5) is False
         assert check_trigger(gr, now_ms=MIN_INTERVAL_MS, lifts_total=0, n_max=5) is True
 
     def test_default_lift_threshold_tracks_vertex_count(self):
-        gr = GrState(GrTunables())
+        gr = GrState()
         gr.last_gr_end_ms = 0.0
         assert check_trigger(gr, now_ms=1.0, lifts_total=7, n_max=8) is False
         assert check_trigger(gr, now_ms=1.0, lifts_total=8, n_max=8) is True
 
     def test_cut_lowers_default_budget_to_one_lift(self):
-        gr = GrState(GrTunables())
+        gr = GrState()
         gr.lift_baseline = 40
         gr.cut_pending = True
         assert check_trigger(gr, now_ms=1.0, lifts_total=40, n_max=100) is False
         assert check_trigger(gr, now_ms=1.0, lifts_total=41, n_max=100) is True
 
     def test_finish_restores_vertex_count_budget(self):
-        gr = GrState(GrTunables())
+        gr = GrState()
         gr.cut_pending = True
         assert check_trigger(gr, now_ms=1.0, lifts_total=1, n_max=100) is True
         for phase in (PHASE_DRAIN, PHASE_RELABEL_UP, PHASE_RELABEL_DOWN, PHASE_NORMAL):
@@ -72,12 +69,6 @@ class TestTrigger:
         assert check_trigger(gr, now_ms=2.0, lifts_total=100, n_max=100) is False
         assert check_trigger(gr, now_ms=2.0, lifts_total=101, n_max=100) is True
 
-    def test_explicit_threshold_ignores_cuts(self):
-        gr = GrState(GrTunables(lift_threshold=10))
-        gr.cut_pending = True
-        assert check_trigger(gr, now_ms=1.0, lifts_total=9, n_max=100) is False
-        assert check_trigger(gr, now_ms=1.0, lifts_total=10, n_max=100) is True
-
     def test_without_cut_decisions_match_the_vertex_count_rule(self):
         def vertex_count_rule(gr, now_ms, lifts_total, n_max):
             if lifts_total - gr.lift_baseline >= max(n_max, 1):
@@ -85,7 +76,7 @@ class TestTrigger:
             wait = max(TIME_FACTOR * gr.last_gr_duration_ms, MIN_INTERVAL_MS)
             return now_ms - gr.last_gr_end_ms >= wait
 
-        gr = GrState(GrTunables())
+        gr = GrState()
         gr.lift_baseline = 3
         gr.last_gr_end_ms = 10.0
         for now_ms in (10.0 + f * MIN_INTERVAL_MS for f in (0, 0.6, 0.998, 1, 3.8)):
@@ -97,7 +88,7 @@ class TestTrigger:
 
 class TestPhaseMachine:
     def test_finish_updates_statistics(self):
-        gr = GrState(GrTunables())
+        gr = GrState()
         gr.advance(PHASE_DRAIN)
         gr.advance(PHASE_RELABEL_UP)
         gr.advance(PHASE_RELABEL_DOWN)
@@ -249,16 +240,13 @@ class TestGlobalRelabelRuns:
         assert eng.gr.runs == 1
         assert eng.gr.last_gr_end_ms >= end_before
 
-    def test_threaded_forced_relabel_keeps_flow_and_invariants(self):
+    def test_threaded_forced_relabel_keeps_flow_and_invariants(self, monkeypatch):
         rng = random.Random(51)  # positive flow on both halves, and it changes
         s, t, events = random_delete_valid_stream(rng, max_vertices=12, max_events=120)
         cut = len(events) // 2
-        # triggers out of reach: the forced run is the only one (the stream
-        # takes far fewer steps than the time rule's minimum interval)
-        tunables = GrTunables(lift_threshold=10**9)
-        eng = ThreadedEngine(
-            EngineConfig(source=s, sink=t, workers=3, gr=tunables, debug=True)
-        )
+        # triggers out of reach: the forced run is the only one
+        monkeypatch.setattr(runtime, "check_trigger", never_trigger)
+        eng = ThreadedEngine(EngineConfig(source=s, sink=t, workers=3))
         try:
             for ev in events[:cut]:
                 eng.ingest(ev)
@@ -281,10 +269,9 @@ class TestGlobalRelabelRuns:
         # relabel is forced, so excess is in flight and heights are stale:
         # only a real relabel-up and descent give the exact distances.
         events = growth_stream(random.Random(52), events=3000, vertices=60)
-        # the stream runs for thousands of steps: hold the time rule off
-        monkeypatch.setattr(relabel, "MIN_INTERVAL_MS", 3_600_000.0)
-        tunables = GrTunables(lift_threshold=10**9)
-        eng = ThreadedEngine(EngineConfig(source=0, sink=1, workers=3, gr=tunables))
+        # the stream runs for thousands of steps: hold both trigger rules off
+        monkeypatch.setattr(runtime, "check_trigger", never_trigger)
+        eng = ThreadedEngine(EngineConfig(source=0, sink=1, workers=3))
         try:
             for ev in events:
                 eng.ingest(ev)
@@ -307,11 +294,11 @@ class TestCutTrigger:
     default lift budget to 1 until the next relabel finishes."""
 
     @staticmethod
-    def cut_stream_engine(workers, **gr):
+    def cut_stream_engine(workers):
         # Flow 5 runs 0 -> 1 -> 2 -> 9; the detour 1 -> 3 -> 9 arrives after
         # that flow has settled. Deleting 2 -> 9 then forces the sink to send
         # 5 units back, and vertex 2 must lift to return them toward 1.
-        eng = sim(workers=workers, gr=GrTunables(**gr))
+        eng = sim(workers=workers)
         for i, (u, v, c) in enumerate([(0, 1, 5), (1, 2, 5), (2, 9, 5)]):
             eng.ingest(TopologyEvent(i, u, v, c))
         assert eng.query().flow_value == 5
@@ -342,8 +329,9 @@ class TestCutTrigger:
         assert eng.gr.runs == 1
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_out_of_reach_triggers_run_no_relabel(self, workers):
-        eng = self.cut_stream_engine(workers, lift_threshold=10**9)
+    def test_out_of_reach_triggers_run_no_relabel(self, workers, monkeypatch):
+        monkeypatch.setattr(runtime, "check_trigger", never_trigger)
+        eng = self.cut_stream_engine(workers)
         self.assert_settled(eng)
         assert eng._total_cuts() > 0 and eng._total_lifts() > 0
         assert eng._steps < MIN_INTERVAL_MS * SIM_STEPS_PER_MS  # the time rule never came due
@@ -375,3 +363,61 @@ class TestExactnessOnRandomStates:
             hexp, nexp = expected_heights(snap, s, t, verts)
             assert snap.height_pos == hexp
             assert snap.height_neg == nexp
+
+
+
+# Faults injected once the descent has run; the sink holds the flow value.
+
+def move_excess(eng):
+    eng.workers[9 % eng.nworkers].vertices[9].excess -= 1
+    eng.workers[1 % eng.nworkers].vertices[1].excess += 1
+
+
+def drop_sink_excess(eng):
+    eng.workers[9 % eng.nworkers].vertices[9].excess = 0
+
+
+def raise_source(eng):
+    eng.workers[0].vertices[0].height_pos += 1
+
+
+def raise_above_inf(eng):
+    eng.workers[2 % eng.nworkers].vertices[2].height_pos = INF + 1
+
+
+class TestSelfChecks:
+    """Every relabel checks that no excess moved and that no height rose,
+    with the default configuration."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            (move_excess, "flow moved during relabel at vertex"),
+            (drop_sink_excess, "flow moved during relabel at vertex 9"),
+            (raise_source, "non-monotone descent at vertex 0"),
+            (raise_above_inf, "non-monotone descent at vertex 2"),
+        ],
+        ids=["moved", "dropped", "fixed_height", "height_above_inf"],
+    )
+    def test_fault_during_descent_raises(self, monkeypatch, workers, fault, message):
+        eng = SimEngine(EngineConfig(source=0, sink=9, workers=workers, deterministic_seed=1))
+        for i, (u, v, c) in enumerate([(0, 1, 5), (1, 9, 5), (0, 2, 3)]):
+            eng.ingest(TopologyEvent(i, u, v, c))
+        assert eng.query().flow_value == 5
+        run_steps = eng._run_steps
+
+        def faulty_run_steps(budget, topo=True):
+            done = run_steps(budget, topo)
+            if eng.gr.phase == PHASE_RELABEL_DOWN:
+                fault(eng)
+            return done
+
+        monkeypatch.setattr(eng, "_run_steps", faulty_run_steps)
+        with pytest.raises(RuntimeError, match=message):
+            eng.force_global_relabel()
+
+    @pytest.mark.parametrize("removed", [dict(debug=True), dict(gr=GrState().tunables)])
+    def test_removed_settings_are_rejected(self, removed):
+        with pytest.raises(TypeError):
+            EngineConfig(source=0, sink=9, **removed)

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from helpers import growth_stream, random_add_stream
 from liveflow import (
-    GrTunables,
     TopologyEvent,
     max_flow_reference,
+    runtime,
     sliding_window_transform,
     vertex,
 )
@@ -30,7 +30,7 @@ from liveflow.vertex import FLOW, INF, Msg, NORMAL
 
 def sim(source=0, sink=9, workers=1, seed=1, **kw):
     return SimEngine(
-        EngineConfig(source=source, sink=sink, workers=workers, deterministic_seed=seed, debug=True, **kw)
+        EngineConfig(source=source, sink=sink, workers=workers, deterministic_seed=seed, **kw)
     )
 
 
@@ -187,7 +187,7 @@ class TestQuiescence:
         assert eng.detect_quiescence() is True
 
     def test_threaded_quiescence_reached_and_mailboxes_empty(self):
-        eng = ThreadedEngine(EngineConfig(source=0, sink=9, workers=3, debug=True))
+        eng = ThreadedEngine(EngineConfig(source=0, sink=9, workers=3))
         try:
             rng = random.Random(8)
             for i in range(300):
@@ -316,11 +316,17 @@ class TestBackgroundThread:
         assert flows == wants
         assert flows[-1] > 0
 
-    def test_idle_time_does_not_start_a_relabel(self):
+    def test_idle_time_does_not_start_a_relabel(self, monkeypatch):
         # The relabel time rule runs on scheduler steps in both modes, so
-        # wall time spent idle between two events fires no relabel.
-        tunables = GrTunables(lift_threshold=10**9)
-        eng = ThreadedEngine(EngineConfig(source=0, sink=9, workers=2, gr=tunables))
+        # wall time spent idle between two events fires no relabel. The
+        # trigger sees no lifts, so only the time rule can fire.
+        check_trigger = runtime.check_trigger
+
+        def time_rule_only(gr, now_ms, lifts_total, n_max):
+            return check_trigger(gr, now_ms, gr.lift_baseline, n_max)
+
+        monkeypatch.setattr(runtime, "check_trigger", time_rule_only)
+        eng = ThreadedEngine(EngineConfig(source=0, sink=9, workers=2))
         try:
             for ev in DIAMOND:
                 eng.ingest(ev)
@@ -419,7 +425,7 @@ def test_threaded_matches_sim_on_random_streams():
         for ev in events:
             eng_sim.ingest(ev)
         value_sim = eng_sim.query().flow_value
-        eng_thr = ThreadedEngine(EngineConfig(source=s, sink=t, workers=3, debug=True))
+        eng_thr = ThreadedEngine(EngineConfig(source=s, sink=t, workers=3))
         try:
             for ev in events:
                 eng_thr.ingest(ev)

@@ -12,10 +12,10 @@ purpose must say so and record the new values.
 * ``window``: 2 workers, sliding window (deletions), frequent queries; this
   one exercises the seeded choice between workers and between channels.
 
-Both run with ``debug`` off (the benchmark's setting) and on; the debug
-checks must not move the schedule. A third test replays the ``window``
-stream under ten seeds: the seeds must still give different interleavings,
-and every one of them the reference flow.
+Every relabel runs its self-checks, which observe the run without moving
+the schedule. A third test replays the ``window`` stream under ten seeds:
+the seeds must still give different interleavings, and every one of them
+the reference flow.
 """
 
 import random
@@ -48,9 +48,9 @@ def growth_stream(vertices, adds, seed, st_prob=0.04):
     return events
 
 
-def replay(events, workers, seed, query_every, debug):
+def replay(events, workers, seed, query_every):
     eng = SimEngine(EngineConfig(source=0, sink=1, workers=workers,
-                                 deterministic_seed=seed, debug=debug))
+                                 deterministic_seed=seed))
     flows = []
     for i, ev in enumerate(events):
         if i and i % query_every == 0:
@@ -87,13 +87,12 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("debug", [False, True], ids=["fast", "debug"])
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_seeded_schedule_replays_golden_counts(name, debug):
+def test_seeded_schedule_replays_golden_counts(name):
     case = CASES[name]
     events = case["events"]()
     counts, flows, eng = replay(events, case["workers"], case["seed"],
-                                case["query_every"], debug)
+                                case["query_every"])
     assert counts == case["counts"]
     assert flows == case["flows"]
     want, _ = max_flow_reference(eng.store.snapshot(), 0, 1)
@@ -106,7 +105,7 @@ def test_seeds_give_distinct_schedules_with_the_same_flow():
     schedules = set()
     for seed in range(10):
         counts, flows, eng = replay(events, case["workers"], seed,
-                                    case["query_every"], False)
+                                    case["query_every"])
         schedules.add(tuple(counts.values()))
         want, _ = max_flow_reference(eng.store.snapshot(), 0, 1)
         assert flows[-1] == want, f"seed {seed}"

@@ -305,7 +305,7 @@ class TestLiveIndex:
         # 0 -> 2 -> 3 -> 1 carries 5; (2, 3) is deleted while 2's push
         # toward 3 is still in the channel, so 2's slot for 3 passes
         # through (-x, x) and only dies once 3 returns the flow.
-        eng = SimEngine(EngineConfig(source=0, sink=1, deterministic_seed=1, debug=True))
+        eng = SimEngine(EngineConfig(source=0, sink=1, deterministic_seed=1))
         events = [TopologyEvent(0, 0, 2, 5), TopologyEvent(1, 2, 3, 5), TopologyEvent(2, 3, 1, 5)]
         for ev in events:
             eng.ingest(ev)
@@ -347,7 +347,7 @@ class TestLiveIndex:
         # Before each relabel's descent, a copy of every worker's vertices
         # runs the broadcast over all of them; the engine's pass over the
         # fixed points must route exactly those messages.
-        eng = SimEngine(EngineConfig(source=0, sink=1, workers=2, deterministic_seed=3, debug=True))
+        eng = SimEngine(EngineConfig(source=0, sink=1, workers=2, deterministic_seed=3))
         expected = {}
         pairs = []
         deficits = []
