@@ -13,7 +13,10 @@ purpose must say so and record the new values.
   one exercises the seeded choice between workers and between channels.
 
 Every relabel runs its self-checks, which observe the run without moving
-the schedule. A third test replays the ``window`` stream under ten seeds:
+the schedule. Each case runs twice: ``fast`` only queries, ``debug`` also
+scans the invariants and checks the flow against the reference at every
+query; these outside checks must not move the schedule either. A third
+test replays the ``window`` stream under ten seeds:
 the seeds must still give different interleavings, and every one of them
 the reference flow.
 """
@@ -48,15 +51,23 @@ def growth_stream(vertices, adds, seed, st_prob=0.04):
     return events
 
 
-def replay(events, workers, seed, query_every):
+def replay(events, workers, seed, query_every, debug=False):
     eng = SimEngine(EngineConfig(source=0, sink=1, workers=workers,
                                  deterministic_seed=seed))
     flows = []
+
+    def query(ts=None):
+        flows.append(eng.query(ts).flow_value)
+        if debug:
+            assert eng.scan_invariants() == []
+            want, _ = max_flow_reference(eng.store.snapshot(), 0, 1)
+            assert flows[-1] == want, f"query {len(flows)}"
+
     for i, ev in enumerate(events):
         if i and i % query_every == 0:
-            flows.append(eng.query(ev.ts).flow_value)
+            query(ev.ts)
         eng.ingest(ev)
-    flows.append(eng.query().flow_value)
+    query()
     ws = eng.workers
     counts = {
         "msg_sent": sum(w.msg_sent for w in ws),
@@ -87,12 +98,13 @@ CASES = {
 }
 
 
+@pytest.mark.parametrize("debug", [False, True], ids=["fast", "debug"])
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_seeded_schedule_replays_golden_counts(name):
+def test_seeded_schedule_replays_golden_counts(name, debug):
     case = CASES[name]
     events = case["events"]()
     counts, flows, eng = replay(events, case["workers"], case["seed"],
-                                case["query_every"])
+                                case["query_every"], debug)
     assert counts == case["counts"]
     assert flows == case["flows"]
     want, _ = max_flow_reference(eng.store.snapshot(), 0, 1)
