@@ -32,7 +32,12 @@ Conventions used throughout:
 * Heights use the sentinel ``INF``, strictly above any reachable label.
   New normal vertices start at (INF, INF) so they cannot attract flow
   before a real route to the sink (or source) is learned; they descend
-  naturally while restoring the height invariant with neighbours.
+  naturally while restoring the height invariant with neighbours. A new
+  arc's mirrors start at INF too, until the head's reply to the
+  introduction message brings its real heights. A mirror of 0 would stand
+  for a height never seen, which is no valid lower bound: the tail would
+  drop to height 1 (or push toward a head with no route) and the error
+  would spread through lifts until a global relabel repairs it.
 * Every outbound message carries the sender's heights subject to a
   suppression rule: the positive height is attached only when the
   counterpart holds residual capacity toward us (``res_in[i] > 0``), the
@@ -190,13 +195,14 @@ class VertexState:
 
 
 def add_neighbour(v: VertexState, w: int) -> int:
-    """Materialize w in v's tables with zeroed residuals and mirrors."""
+    """Materialize w in v's tables with zeroed residuals and INF mirrors:
+    w's heights are unknown until its first message arrives."""
     i = len(v.nbr_ids)
     v.nbr_ids.append(w)
     v.res_out.append(0)
     v.res_in.append(0)
-    v.mirror_hpos.append(0)
-    v.mirror_hneg.append(0)
+    v.mirror_hpos.append(INF)
+    v.mirror_hneg.append(INF)
     v.sent_hpos.append(UNSENT)
     v.sent_hneg.append(UNSENT)
     v.cap_out.append(0)

@@ -62,12 +62,19 @@ class TestOnEdgeChanged:
         ctx, out = OpContext(), []
         i = on_edge_changed(s, 7, 7, ctx, out, SRC_ID)
         finish_vertex(s, ctx, out)
-        assert s.excess == 0  # 7 gained, 7 pushed out
-        assert s.res_out[i] == 0 and s.res_in[i] == 7
+        # The head's heights are unknown (INF mirrors), so the 7 waits.
+        assert s.excess == 7
+        assert s.res_out[i] == 7 and s.res_in[i] == 0
         kinds = [(m.kind, m.amount) for _, m in out]
-        assert (CAP_OFFSET, 7) in kinds
-        assert (FLOW, 7) in kinds  # the saturating push
-        assert kinds[0] == (FLOW, 0)  # new-neighbour greeting goes first
+        assert kinds[:2] == [(FLOW, 0), (CAP_OFFSET, 7)]  # greeting first
+        assert flows_to(out, 7) == []
+        # The head's reply brings a finite height; now the source saturates.
+        out = []
+        on_message_received(s, msg(7, FLOW, 0, hpos=1), ctx, out)
+        finish_vertex(s, ctx, out)
+        assert s.excess == 0
+        assert s.res_out[i] == 0 and s.res_in[i] == 7
+        assert [m.amount for _, m in flows_to(out, 7)] == [7]
 
     def test_capacity_decrease_goes_negative_until_peer_restores(self):
         v = make_vertex(vid=3, excess=0, hpos=2, hneg=INF)

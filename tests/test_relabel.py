@@ -348,6 +348,41 @@ class TestCutTrigger:
         assert eng._total_cuts() == 0
 
 
+class TestAddsAmongCutOffVertices:
+    """New arcs start with INF mirrors: the tail of a new edge waits for the
+    head's real heights instead of descending to 1 on a height it never saw.
+    So a few adds among vertices cut off from the sink cost no lift flood
+    and no relabel."""
+
+    @pytest.mark.parametrize("seed", [1, 7, 11])
+    def test_small_add_batch_runs_no_relabel(self, seed):
+        V = 200
+        rng = random.Random(seed)
+        eng = sim(source=0, sink=1, seed=seed)
+        for ev in growth_stream(rng, events=15 * V, vertices=V, cap_hi=3, st_edge_prob=0.01):
+            eng.ingest(ev)
+        eng.query()
+        snap = eng.force_global_relabel(capture=True)
+        eng.query()
+        # Cut off from the sink, yet finite: they route back to the source.
+        cut_off = sorted(
+            v for v, h in snap.height_pos.items()
+            if v >= 2 and snap.n_projected <= h < INF
+        )
+        assert len(cut_off) >= 10
+        ts = 15 * V
+        for k in range(10):
+            u, v = rng.sample(cut_off, 2)
+            eng.ingest(TopologyEvent(ts + k, u, v, rng.randint(1, 3)))
+        lifts, runs = eng._total_lifts(), eng.gr.runs
+        got = eng.query().flow_value
+        assert eng.gr.runs == runs
+        assert eng._total_lifts() - lifts <= 2
+        want, _ = max_flow_reference(eng.store.snapshot(), 0, 1)
+        assert got == want
+        assert eng.scan_invariants() == []
+
+
 class TestExactnessOnRandomStates:
     def test_heights_match_residual_distances(self):
         rng = random.Random(606)

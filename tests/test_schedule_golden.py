@@ -84,15 +84,15 @@ CASES = {
     "add-only": dict(
         events=lambda: growth_stream(150, 4000, seed=11),
         workers=1, seed=5, query_every=500,
-        counts={"msg_sent": 130882, "msg_received": 130882, "topo_received": 4046,
-                "lifts": 1268, "relabel_runs": 9, "steps": 128214},
+        counts={"msg_sent": 101119, "msg_received": 101119, "topo_received": 4046,
+                "lifts": 759, "relabel_runs": 6, "steps": 99011},
         flows=[10, 30, 55, 78, 88, 103, 121, 147],
     ),
     "window": dict(
         events=lambda: list(sliding_window_transform(growth_stream(100, 1200, seed=12), 300)),
         workers=2, seed=9, query_every=100,
-        counts={"msg_sent": 110492, "msg_received": 110492, "topo_received": 2137,
-                "lifts": 1515, "relabel_runs": 63, "steps": 109010},
+        counts={"msg_sent": 95583, "msg_received": 95583, "topo_received": 2137,
+                "lifts": 1411, "relabel_runs": 54, "steps": 94571},
         flows=[0, 1, 9, 8, 7, 7, 6, 4, 8, 9, 6, 9, 7, 7, 4, 4, 4, 9, 11, 12, 10],
     ),
 }
