@@ -24,6 +24,15 @@ def main():
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out", default="-")
     args = p.parse_args()
+    # ids 2..vertices-1 must hold two distinct vertices for a plain edge
+    if args.vertices < 4:
+        p.error("--vertices must be at least 4")
+    if args.cap_hi < 1:
+        p.error("--cap-hi must be at least 1")
+    if args.events < 0:
+        p.error("--events must not be negative")
+    if not 0.0 <= args.st_edge_prob <= 1.0:
+        p.error("--st-edge-prob must lie in [0, 1]")
 
     rng = random.Random(args.seed)
     out = sys.stdout if args.out == "-" else open(args.out, "w", encoding="utf-8")

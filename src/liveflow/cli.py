@@ -100,17 +100,12 @@ def run_cli(
         print(f"liveflow: cannot read input: {exc}", file=err)
         return EXIT_ERROR
 
-    engine = None if cfg.static_baseline else factory(cfg.engine)
-    # the one capacity ledger: the oracle reads it, the static baseline
-    # rebuilds each query from it
-    store = GraphStore() if engine is None else engine.store
+    engine = None
     records: List[QueryRecord] = []
     schedule = QuerySchedule(cfg.query_interval)
     prev_involved: Optional[frozenset] = None
     ingested = 0
     seg_events_base = 0
-    seg_clock_base = time.perf_counter()
-    write_header(out, cfg.output_format)
 
     def static_query(trigger_ts: int):
         t0 = time.perf_counter()
@@ -163,6 +158,13 @@ def run_cli(
     last_ts = 0
     try:
         try:
+            # built inside the try, so the input is closed if this raises
+            engine = None if cfg.static_baseline else factory(cfg.engine)
+            # the one capacity ledger: the oracle reads it, the static
+            # baseline rebuilds each query from it
+            store = GraphStore() if engine is None else engine.store
+            seg_clock_base = time.perf_counter()
+            write_header(out, cfg.output_format)
             stream = read_event_log(fh)
             if cfg.window is not None:
                 stream = sliding_window_transform(stream, cfg.window)

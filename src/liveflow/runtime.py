@@ -17,10 +17,6 @@ Two execution modes run that same code:
   ingesting; its scheduler is seeded from OS entropy. A query waits until
   the thread is idle with every queue empty, which is quiescence.
 
-Both modes run the global-relabel time rule on one step clock: handler runs
-(scheduler steps), SIM_STEPS_PER_MS of them to the "ms". Relabel timing
-therefore follows the work done, not host speed or idle wall time.
-
 A global relabel is one call, ``SimEngine._run_gr``, made between scheduler
 batches: drain, relabel-up, relabel-down, then normal execution resumes.
 
@@ -75,7 +71,6 @@ TOPO_NEWMAX = 1
 RUN_CAP = 32              # max handler invocations fused into one run
 QUANTUM = 8               # seeded handler runs per draw on one worker and channel
 PROBE_EVERY = 32          # scheduler steps between relabel-trigger probes
-SIM_STEPS_PER_MS = 50.0   # handler runs per "ms" of the relabel step clock
 PROJECTION_FACTOR = 1.1   # source/sink height: ceil(PROJECTION_FACTOR * n_max)
 
 
@@ -273,8 +268,7 @@ class Worker:
 class SimEngine:
     """The engine: ingestion, seeded scheduling over logical workers,
     global relabels, quiescence and extraction, all on the caller's thread.
-    With ``deterministic_seed`` set it replays exactly. The relabel clock
-    counts scheduler steps."""
+    With ``deterministic_seed`` set it replays exactly."""
 
     def __init__(self, config: EngineConfig):
         config.validate()
@@ -288,7 +282,7 @@ class SimEngine:
             w.outboxes = [peer.chans[w.wid] for peer in self.workers]
         self.last_event_ts = 0
         self.rng = random.Random(config.deterministic_seed)
-        self._steps = 0
+        self._steps = 0          # scheduler steps run so far
         self._cut_baseline = 0   # flow cuts counted when the last relabel finished
         np0 = self.store.note_vertices(self.source, self.sink)
         if np0:
@@ -402,9 +396,6 @@ class SimEngine:
 
     # -- scheduling ------------------------------------------------------------
 
-    def _now_ms(self) -> float:
-        return self._steps / SIM_STEPS_PER_MS
-
     def _run_steps(self, budget: Optional[int], topo: bool = True) -> int:
         """The seeded scheduler: run up to ``budget`` handler runs (all
         pending work when None) and return how many ran. With ``topo`` False
@@ -465,13 +456,13 @@ class SimEngine:
 
         The relabel trigger is probed before every batch of PROBE_EVERY
         steps, after marking whether a flow cut happened since the last
-        relabel; the relabel clock (``_steps``) advances once per step."""
+        relabel."""
         gr = self.gr
         done = 0
         while max_steps is None or done < max_steps:
             gr.cut_pending = self._total_cuts() > self._cut_baseline
             if check_trigger(
-                gr, self._now_ms(), self._total_lifts(), self.store.n_max
+                gr, self._steps, self._total_lifts(), self.store.n_max
             ) and not self._queues_empty():
                 self._run_gr(capture=False)
             budget = PROBE_EVERY if max_steps is None else min(PROBE_EVERY, max_steps - done)
@@ -502,7 +493,6 @@ class SimEngine:
         excess moves (``held``), and no height ends above where relabel-up
         put it (``fixed`` for the fixed points, INF for every other vertex)."""
         gr = self.gr
-        t0 = self._now_ms()
         np_ = self.store.n_projected
 
         # Drain: park lifts and run every in-flight message.
@@ -545,7 +535,7 @@ class SimEngine:
         # discharge changes only its own vertex's excess until the routed
         # messages run, so each check below still sees the descent's result.
         gr.advance(PHASE_NORMAL)
-        gr.finish(self._now_ms(), t0, self._total_lifts())
+        gr.finish(self._steps, self._steps, self._total_lifts())
         self._cut_baseline = self._total_cuts()
         for w in self.workers:
             ctx = w.ctx
@@ -589,7 +579,7 @@ class ThreadedEngine(SimEngine):
     relabels between batches. With every queue empty it marks itself idle
     and waits on ``_cond``; ``ingest`` (when the thread is idle), ``query``,
     ``force_global_relabel`` and ``close`` wake it. The scheduler's generator
-    is seeded from OS entropy; the relabel clock is the same step clock."""
+    is seeded from OS entropy."""
 
     def __init__(self, config: EngineConfig):
         super().__init__(config)

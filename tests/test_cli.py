@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from liveflow import cli
 from liveflow.cli import (
     EXIT_CONFIG,
     EXIT_ERROR,
@@ -133,6 +134,27 @@ class TestRunCli:
         code, _, err = run(tmp_path, DIAMOND_LOG, static_baseline=static_baseline, **bad)
         assert code == EXIT_CONFIG
         assert f"configuration error: {message}" in err
+
+    def test_engine_creation_error_closes_the_input(self, tmp_path, monkeypatch):
+        opened = []
+
+        def recording_open(*args, **kwargs):
+            opened.append(open(*args, **kwargs))
+            return opened[-1]
+
+        def failing_factory(config):
+            raise RuntimeError("no engine")
+
+        monkeypatch.setattr(cli, "open", recording_open, raising=False)
+        cfg = RunConfig(
+            input_path=write_log(tmp_path, DIAMOND_LOG),
+            query_interval=100,
+            engine=EngineConfig(source=0, sink=9, deterministic_seed=1),
+        )
+        with pytest.raises(RuntimeError, match="no engine"):
+            run_cli(cfg, out=io.StringIO(), err=io.StringIO(), engine_factory=failing_factory)
+        assert len(opened) == 1
+        assert opened[0].closed
 
     def test_missing_input_file(self):
         cfg = RunConfig(

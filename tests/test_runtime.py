@@ -12,7 +12,6 @@ from helpers import growth_stream, random_add_stream
 from liveflow import (
     TopologyEvent,
     max_flow_reference,
-    runtime,
     sliding_window_transform,
     vertex,
 )
@@ -315,32 +314,6 @@ class TestBackgroundThread:
         assert not t.is_alive(), f"round {len(flows)} of {len(events)} never returned"
         assert flows == wants
         assert flows[-1] > 0
-
-    def test_idle_time_does_not_start_a_relabel(self, monkeypatch):
-        # The relabel time rule runs on scheduler steps in both modes, so
-        # wall time spent idle between two events fires no relabel. The
-        # trigger sees no lifts, so only the time rule can fire.
-        check_trigger = runtime.check_trigger
-
-        def time_rule_only(gr, now_ms, lifts_total, n_max):
-            return check_trigger(gr, now_ms, gr.lift_baseline, n_max)
-
-        monkeypatch.setattr(runtime, "check_trigger", time_rule_only)
-        eng = ThreadedEngine(EngineConfig(source=0, sink=9, workers=2))
-        try:
-            for ev in DIAMOND:
-                eng.ingest(ev)
-            flows = [eng.query().flow_value]
-            wants = [max_flow_reference(eng.store.snapshot(), 0, 9)[0]]
-            runs = eng.gr.runs
-            time.sleep(0.2)
-            eng.ingest(TopologyEvent(5, 0, 9, 3))
-            flows.append(eng.query().flow_value)
-            wants.append(max_flow_reference(eng.store.snapshot(), 0, 9)[0])
-            assert eng.gr.runs == runs
-        finally:
-            eng.close()
-        assert flows == wants == [20, 23]
 
     @pytest.mark.parametrize("backlog", [0, 2000])
     def test_close_stops_the_thread(self, backlog):

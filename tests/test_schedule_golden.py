@@ -4,7 +4,7 @@ The deterministic engine promises that the same seed and configuration give
 the same schedule, the same work counts and the same flow values. These two
 fixed streams pin that schedule down exactly: any change to which worker or
 channel the scheduler picks, to how the seeded generator is consumed, to how
-many steps the relabel clock counts, or to the messages the vertex program
+many scheduler steps run, or to the messages the vertex program
 sends shows up as a changed count here. A change that alters the schedule on
 purpose must say so and record the new values.
 
@@ -84,8 +84,8 @@ CASES = {
     "add-only": dict(
         events=lambda: growth_stream(150, 4000, seed=11),
         workers=1, seed=5, query_every=500,
-        counts={"msg_sent": 101119, "msg_received": 101119, "topo_received": 4046,
-                "lifts": 759, "relabel_runs": 6, "steps": 99011},
+        counts={"msg_sent": 97562, "msg_received": 97562, "topo_received": 4046,
+                "lifts": 756, "relabel_runs": 5, "steps": 95458},
         flows=[10, 30, 55, 78, 88, 103, 121, 147],
     ),
     "window": dict(
