@@ -11,6 +11,7 @@ Example:
 """
 
 import argparse
+import math
 import statistics
 import time
 
@@ -46,13 +47,23 @@ def main():
     p.add_argument("--workers", type=int, default=2)
     p.add_argument("--fractions", default="0.1,0.25,0.5,1.0")
     args = p.parse_args()
+    if args.query_interval <= 0:
+        p.error("--query-interval must be positive")
+    if args.workers < 1:
+        p.error("--workers must be at least 1")
+    try:
+        fractions = [float(f) for f in args.fractions.split(",")]
+    except ValueError:
+        p.error(f"--fractions must be comma-separated numbers, got {args.fractions!r}")
+    if not all(math.isfinite(f) and f > 0 for f in fractions):
+        p.error("--fractions must all be positive and finite")
 
     with open(args.input, encoding="utf-8") as fh:
         events = list(read_event_log(fh))
     print(f"{len(events)} events; measuring saturation...")
     lat, sat = run(events, args.source, args.sink, args.workers, args.query_interval, None)
     print(f"saturation: {sat:,.0f} events/s, median latency {statistics.median(lat)*1e3:.1f} ms")
-    for frac in [float(f) for f in args.fractions.split(",")]:
+    for frac in fractions:
         lat, rate = run(
             events, args.source, args.sink, args.workers, args.query_interval, sat * frac
         )

@@ -110,12 +110,11 @@ def run_cli(
     def static_query(trigger_ts: int):
         t0 = time.perf_counter()
         econf = cfg.engine
-        if econf.deterministic_seed is not None:
-            # a from-scratch run is a fresh execution, not a replay of the
-            # incremental run's schedule; derive a distinct seed per rebuild
-            seed = econf.deterministic_seed + 1000 * (len(records) + 1)
-            econf = replace(econf, deterministic_seed=seed)
-        fresh = factory(econf)
+        # A from-scratch run is a fresh execution, not a replay of the
+        # incremental run's schedule: each rebuild gets a distinct seed, so
+        # it runs on the caller's thread and starts no background thread.
+        seed = (econf.deterministic_seed or 0) + 1000 * (len(records) + 1)
+        fresh = factory(replace(econf, deterministic_seed=seed))
         try:
             for (src, dst), cap in store.caps.items():
                 fresh.ingest(TopologyEvent(trigger_ts, src, dst, cap))

@@ -5,17 +5,20 @@ owns a topology FIFO plus one message FIFO per sending worker, and never
 touches another worker's vertices. Topology events are prioritized over
 algorithmic messages. The workers are logical: one seeded scheduler
 (``SimEngine._run_steps``) interleaves them, and ``SimEngine._run_gr`` is the
-only global-relabel driver. One thread appends to and pops from every
-message channel, so per ordered worker pair messages arrive in send order:
-the order of the channel's deque.
+only global-relabel driver. A handler run applies one item, a topology
+event or a message, and then closes with ``vertex.finish_vertex``. One
+thread appends to and pops from every message channel, so per ordered
+worker pair messages arrive in send order: the order of the channel's deque.
 
 Two execution modes run that same code:
 
 * deterministic (seeded): the caller's thread runs the scheduler whenever it
   pumps or queries.
 * threaded (default): one background thread pumps while the caller keeps
-  ingesting; its scheduler is seeded from OS entropy. A query waits until
-  the thread is idle with every queue empty, which is quiescence.
+  ingesting; its scheduler is seeded from OS entropy. A query or a forced
+  relabel waits until the thread is idle with every queue empty, which is
+  quiescence, and then runs on the caller's thread while the thread stays
+  parked.
 
 A global relabel is one call, ``SimEngine._run_gr``, made between scheduler
 batches: drain, relabel-up, relabel-down, then normal execution resumes.
@@ -32,6 +35,7 @@ the seeded generator once per quantum; with one worker it never draws.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import random
 import threading
@@ -68,7 +72,6 @@ __all__ = [
 TOPO_EDGE = 0
 TOPO_NEWMAX = 1
 
-RUN_CAP = 32              # max handler invocations fused into one run
 QUANTUM = 8               # seeded handler runs per draw on one worker and channel
 PROBE_EVERY = 32          # scheduler steps between relabel-trigger probes
 PROJECTION_FACTOR = 1.1   # source/sink height: ceil(PROJECTION_FACTOR * n_max)
@@ -219,50 +222,31 @@ class Worker:
     # -- handler runs ------------------------------------------------------
 
     def topo_run(self) -> None:
-        topo = self.topo
-        item = topo.popleft()
+        """Apply the topology FIFO's next item as one handler run."""
+        item = self.topo.popleft()
         v = self.get_vertex(item[1])
+        ctx = self.ctx
         out: list = []
-        count = 1
         if item[0] == TOPO_NEWMAX:
-            vx.on_new_max_vertex_count(v, item[2], self.ctx, out)
+            vx.on_new_max_vertex_count(v, item[2])
         else:
-            src = item[1]
-            ctx = self.ctx
-            source = self.engine.source
-            handle = vx.on_edge_changed
-            while True:
-                handle(v, item[2], item[3], ctx, out, source)
-                if count >= RUN_CAP or not topo:
-                    break
-                nxt = topo[0]
-                if nxt[0] != TOPO_EDGE or nxt[1] != src:
-                    break
-                item = topo.popleft()
-                count += 1
-            vx.finish_vertex(v, ctx, out)
+            vx.on_edge_changed(v, item[2], item[3], ctx, out, self.engine.source)
+        vx.finish_vertex(v, ctx, out)
         self.route(out)
-        self.topo_received += count
+        self.topo_received += 1
 
     def message_run(self, ci: int) -> None:
-        """Consume the channel's next message plus up to RUN_CAP - 1 directly
-        following messages for the same vertex, as one handler run."""
-        chan = self.chans[ci]
-        dst, m = chan.popleft()
+        """Apply the channel's next message as one handler run."""
+        dst, m = self.chans[ci].popleft()
         v = self.vertices.get(dst)
         if v is None:
             v = self.get_vertex(dst)
         ctx = self.ctx
         out: list = []
-        handle = vx.on_message_received
-        handle(v, m, ctx, out)
-        count = 1
-        while count < RUN_CAP and chan and chan[0][0] == dst:
-            handle(v, chan.popleft()[1], ctx, out)
-            count += 1
+        vx.on_message_received(v, m, ctx, out)
         vx.finish_vertex(v, ctx, out)
         self.route(out)
-        self.msg_received += count
+        self.msg_received += 1
 
 
 class SimEngine:
@@ -529,7 +513,7 @@ class SimEngine:
             if v.height_pos > hp or v.height_neg > hn:
                 raise RuntimeError(f"non-monotone descent at vertex {v.vid}")
 
-        snap = self._capture_snapshot(np_) if capture else None
+        snap = self._post_descent_state(np_) if capture else None
 
         # Normal: resume pushes and lifts and discharge parked excess. A
         # discharge changes only its own vertex's excess until the routed
@@ -554,7 +538,7 @@ class SimEngine:
             raise RuntimeError(f"flow moved during relabel at vertex {next(iter(held))}")
         return snap
 
-    def _capture_snapshot(self, n_projected: int) -> GrSnapshot:
+    def _post_descent_state(self, n_projected: int) -> GrSnapshot:
         hpos: Dict[int, int] = {}
         hneg: Dict[int, int] = {}
         residual: Dict[Tuple[int, int], int] = {}
@@ -575,38 +559,31 @@ class SimEngine:
 class ThreadedEngine(SimEngine):
     """The seeded engine's loop on one background thread, beside ingestion.
 
-    The thread pumps in batches of PROBE_EVERY steps and runs forced
-    relabels between batches. With every queue empty it marks itself idle
-    and waits on ``_cond``; ``ingest`` (when the thread is idle), ``query``,
-    ``force_global_relabel`` and ``close`` wake it. The scheduler's generator
-    is seeded from OS entropy."""
+    The thread pumps in batches of PROBE_EVERY steps. With every queue empty
+    it marks itself idle and waits on ``_cond``; ``ingest`` (when the thread
+    is idle), ``query``, ``force_global_relabel`` and ``close`` wake it.
+    ``query`` and ``force_global_relabel`` wait for that idle state and run
+    on the caller's thread while the background thread stays parked. The
+    scheduler's generator is seeded from OS entropy."""
 
     def __init__(self, config: EngineConfig):
         super().__init__(config)
         self._cond = threading.Condition()
         self._idle = False
         self._stop = False
-        self._force: Optional[bool] = None   # capture flag of a requested relabel
-        self._snap: Optional[GrSnapshot] = None
         self._thread = threading.Thread(target=self._serve, daemon=True, name="liveflow")
         self._thread.start()
 
     def _serve(self) -> None:
         cond = self._cond
         while not self._stop:
-            capture = self._force
-            if capture is not None:
-                snap = self._run_gr(capture)
-                with cond:
-                    self._snap, self._force = snap, None
-                    cond.notify_all()
-            elif self.pump(PROBE_EVERY) < PROBE_EVERY:
+            if self.pump(PROBE_EVERY) < PROBE_EVERY:
                 with cond:
                     # Idle is set before the queues are read and ingest
                     # appends before it reads idle, so an event appended
                     # after this check always finds the thread idle.
                     self._idle = True
-                    while self._force is None and not self._stop and self._queues_empty():
+                    while not self._stop and self._queues_empty():
                         cond.notify_all()
                         cond.wait()
                     self._idle = False
@@ -622,22 +599,30 @@ class ThreadedEngine(SimEngine):
         with self._cond:
             return self._idle and self._queues_empty()
 
-    def force_global_relabel(self, capture: bool = False) -> Optional[GrSnapshot]:
-        """Run a full global relabel on the background thread between two
-        scheduler batches, even with work queued, and wait for it."""
-        with self._cond:
-            self._force = capture
-            self._cond.notify_all()
-            while self._force is not None:
-                self._cond.wait()
-            return self._snap
-
-    def query(self, trigger_ts: Optional[int] = None) -> QueryResult:
-        started = time.perf_counter()
+    @contextlib.contextmanager
+    def _parked(self):
+        """Hold ``_cond`` from quiescence to the end of the block, then wake
+        the thread for whatever work the block queued. ``_serve`` sets idle
+        and waits without releasing the lock in between, so while this
+        holds the lock and sees idle the thread is inside ``cond.wait()``."""
         with self._cond:
             self._cond.notify_all()
             while not self.detect_quiescence():
                 self._cond.wait()
+            try:
+                yield
+            finally:
+                self._cond.notify_all()
+
+    def force_global_relabel(self, capture: bool = False) -> Optional[GrSnapshot]:
+        """Wait for quiescence, then run a full global relabel on the
+        caller's thread."""
+        with self._parked():
+            return self._run_gr(capture=capture)
+
+    def query(self, trigger_ts: Optional[int] = None) -> QueryResult:
+        started = time.perf_counter()
+        with self._parked():
             return self._extract(trigger_ts, started)
 
     def close(self) -> None:

@@ -385,19 +385,16 @@ def broadcast_height_if_needed(
             out.append((v.nbr_ids[i], Msg(v.vid, FLOW, 0, p, n)))
 
 
-def on_new_max_vertex_count(
-    v: VertexState, new_count: int, ctx: OpContext, out: list
-) -> None:
+def on_new_max_vertex_count(v: VertexState, new_count: int) -> None:
     """React to growth of the projected vertex count: the source's positive
-    height and the sink's negative height rise to the new count, then the
-    vertex discharges (new push opportunities may have appeared)."""
+    height and the sink's negative height rise to the new count. The
+    discharge (new push opportunities may have appeared) and the height
+    broadcast are left to :func:`finish_vertex`, which closes the handler
+    run."""
     if v.vtype == SOURCE:
         v.height_pos = new_count
-        discharge(v, ctx, out)
     elif v.vtype == SINK:
         v.height_neg = new_count
-        discharge(v, ctx, out)
-    broadcast_height_if_needed(v, out)
 
 
 def on_edge_changed(
@@ -489,8 +486,8 @@ def on_message_received(v: VertexState, m: Msg, ctx: OpContext, out: list) -> in
 
 def finish_vertex(v: VertexState, ctx: OpContext, out: list) -> None:
     """Close a handler run: discharge once, then send changed heights (a
-    full scan when a height changed, else a re-check of the slots the run's
-    edge and message handlers touched)."""
+    full scan when a height changed, else a re-check of the slot the run's
+    edge or message handler touched)."""
     if v.excess:
         discharge(v, ctx, out)
     dirty = v.pending_dirty

@@ -1,6 +1,7 @@
 import io
 import json
 import random
+import threading
 
 import pytest
 
@@ -209,6 +210,27 @@ class TestRunCli:
         )
         assert code == EXIT_OK
         assert all(q["flow_value"] >= 0 for q in queries(records))
+
+    def test_unseeded_static_baseline_starts_no_thread(self, tmp_path, monkeypatch):
+        starts = []
+        start = threading.Thread.start
+
+        def counting_start(thread):
+            starts.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        code, records, _ = run(
+            tmp_path,
+            DIAMOND_LOG,
+            engine=dict(deterministic_seed=None),
+            static_baseline=True,
+            oracle_check=True,
+            query_interval=2,
+        )
+        assert code == EXIT_OK
+        assert len(queries(records)) == 2
+        assert starts == []
 
     def test_static_baseline_rebuilds_from_the_ledger(self, tmp_path):
         # a windowed multigraph log: some pairs are added more than once and

@@ -218,7 +218,8 @@ class TestOnNewMaxVertexCount:
         wire(s, 7, res_out=4, mhpos=4)
         wire(s, 8, res_out=3, mhpos=4)
         out = []
-        on_new_max_vertex_count(s, 12, OpContext(), out)
+        on_new_max_vertex_count(s, 12)
+        finish_vertex(s, OpContext(), out)
         assert s.height_pos == 12
         assert sorted(flows(out)) == [(7, 4), (8, 3)]
         assert s.excess == 2
@@ -227,7 +228,8 @@ class TestOnNewMaxVertexCount:
         v = make_vertex(vid=5, hpos=3, hneg=2)
         wire(v, 7, res_out=1, res_in=1)
         out = []
-        on_new_max_vertex_count(v, 12, OpContext(), out)
+        on_new_max_vertex_count(v, 12)
+        finish_vertex(v, OpContext(), out)
         assert v.height_pos == 3 and v.height_neg == 2
         assert out == []
 
@@ -235,7 +237,8 @@ class TestOnNewMaxVertexCount:
         t = make_vertex(vid=9, vtype=SINK, excess=-4, hpos=0, hneg=5)
         wire(t, 7, res_in=6, mhneg=5)
         out = []
-        on_new_max_vertex_count(t, 12, OpContext(), out)
+        on_new_max_vertex_count(t, 12)
+        finish_vertex(t, OpContext(), out)
         assert t.height_neg == 12
         assert flows(out) == [(7, -4)]
         assert t.excess == 0

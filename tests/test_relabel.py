@@ -1,4 +1,5 @@
 import random
+import threading
 
 import pytest
 
@@ -251,12 +252,36 @@ class TestGlobalRelabelRuns:
         finally:
             eng.close()
 
+    def test_threaded_forced_relabel_runs_on_the_calling_thread(self, monkeypatch):
+        monkeypatch.setattr(runtime, "check_trigger", never_trigger)
+        eng = ThreadedEngine(EngineConfig(source=0, sink=1, workers=2))
+        threads = []
+        advance = eng.gr.advance
+
+        def record(phase):
+            threads.append(threading.current_thread())
+            advance(phase)
+
+        eng.gr.advance = record
+        try:
+            for i, (u, v, c) in enumerate([(0, 2, 5), (2, 1, 3), (2, 3, 4), (3, 1, 2)]):
+                eng.ingest(TopologyEvent(i, u, v, c))
+            eng.force_global_relabel()
+            assert eng.query().flow_value == 5
+        finally:
+            eng.close()
+        assert eng.gr.runs == 1
+        assert threads == [threading.current_thread()] * 4
+
     def test_threaded_relabel_with_backlog_gives_exact_heights(self, monkeypatch):
         # The background thread is still working off the stream when the
-        # relabel is forced, so excess is in flight and heights are stale:
-        # only a real relabel-up and descent give the exact distances.
+        # relabel is forced: the call waits for the backlog to drain, then
+        # relabels. Drained heights are stale lower bounds, so only a real
+        # relabel-up and descent give the exact distances. Relabels in the
+        # middle of a backlog are covered on the seeded engine (criterion 05
+        # and TestExactnessOnRandomStates).
         events = growth_stream(random.Random(52), events=3000, vertices=60)
-        # the stream runs for thousands of steps: hold both trigger rules off
+        # the stream runs for thousands of steps: hold the lift budget off
         monkeypatch.setattr(runtime, "check_trigger", never_trigger)
         eng = ThreadedEngine(EngineConfig(source=0, sink=1, workers=3))
         try:

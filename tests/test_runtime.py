@@ -114,6 +114,10 @@ class TestRouting:
         monkeypatch.setattr(vertex, "on_message_received", record)
         msgs = [Msg(50, FLOW, 0, k, 0) for k in range(6)]
         eng.workers[0].route([(target, m) for m in msgs])
+        before = w.msg_received
+        w.message_run(0)  # one handler run applies exactly one message
+        assert w.msg_received - before == 1
+        assert [m.hpos for d, m in w.chans[0] if d == target] == list(range(1, 6))
         eng.pump()
         # six injected messages in send order, then the greeting reply
         assert arrived[:6] == list(range(6))
@@ -140,16 +144,6 @@ class TestRouting:
         eng.workers[0].route([(1, Msg(2, FLOW, 0, 3, 3))])
         eng.pump()
         assert v.excess == before
-
-    def test_same_vertex_messages_fuse_into_one_run(self):
-        eng = sim(workers=1, seed=4)
-        w = eng.workers[0]
-        msgs = [(7, Msg(60 + k, FLOW, 0, 1, 1)) for k in range(5)]
-        w.route(msgs)
-        before = w.msg_received
-        w.message_run(0)  # one run consumes the whole same-destination batch
-        assert w.msg_received - before == 5
-        assert len(eng.workers[0].vertices[7].nbr_ids) == 5
 
     def test_topology_priority(self):
         eng = sim(workers=1, seed=3)
