@@ -51,6 +51,7 @@ import gc
 import importlib.util
 import io
 import json
+import math
 import os
 import shutil
 import signal
@@ -171,8 +172,7 @@ def match_text(differ: List[str], same: str) -> str:
 def interleave(base_dir: str, workload: str, seed: int, rounds: int) -> bool:
     """Alternate the same streams through both trees in this process;
     True when both gave the same results on every stream."""
-    sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
-    import harness
+    import harness  # on sys.path since main()
 
     pkgs = {"base": load_package("liveflow_base", os.path.join(base_dir, "src")),
             "change": load_package("liveflow_change", os.path.join(ROOT, "src"))}
@@ -245,9 +245,13 @@ def report(runs: Dict[str, List[dict]], better: Dict[str, str]) -> None:
 def main(argv=None) -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
+    sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+    import harness
+
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--base", required=True, help="commit to compare against")
-    p.add_argument("--workload", default=bench["workloads"][0]["name"])
+    p.add_argument("--workload", default=bench["workloads"][0]["name"],
+                   choices=sorted(harness.WORKLOADS))
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--seconds", type=float, default=bench["run_seconds"])
@@ -259,6 +263,8 @@ def main(argv=None) -> int:
         p.error("--pairs must be at least 1")
     if args.interleave < 0:
         p.error("--interleave must not be negative")
+    if not (math.isfinite(args.seconds) and args.seconds > 0):
+        p.error("--seconds must be positive and finite")
 
     command = [sys.executable if c in ("python", "python3") else c
                for c in bench["command"]]

@@ -8,9 +8,10 @@ made between scheduler batches with topology held, in four steps:
 * drain: lifts are disabled and all in-flight messages are processed.
 * relabel-up: every vertex jumps to INF except the fixed points
   (source, sink, deficit vertices).
-* relabel-down: the fixed points broadcast their heights and everyone else
-  descends by height clamping only (no flow moves) until quiescent.
-* normal: pushes and lifts resume and parked excess is discharged.
+* relabel-down: breadth-first searches from the fixed points, one level at
+  a time, set every other height to its residual distance; sent heights
+  and mirrors are then written directly, with no message.
+* normal: lifts resume and parked excess is discharged.
 
 The trigger is a lift budget, counted since the last relabel: the
 historical maximum vertex count n_max, or 1 lift once a flow cut (a

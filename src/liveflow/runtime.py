@@ -105,8 +105,8 @@ class QueryResult:
 
 @dataclass
 class GrSnapshot:
-    """Frozen state right after a global relabel's descent converged,
-    before normal execution resumes."""
+    """Frozen state right after a global relabel's searches set the
+    heights, before normal execution resumes."""
 
     height_pos: Dict[int, int]
     height_neg: Dict[int, int]
@@ -230,7 +230,7 @@ class Worker:
         if item[0] == TOPO_NEWMAX:
             vx.on_new_max_vertex_count(v, item[2])
         else:
-            vx.on_edge_changed(v, item[2], item[3], ctx, out, self.engine.source)
+            vx.on_edge_changed(v, item[2], item[3], out, self.engine.source)
         vx.finish_vertex(v, ctx, out)
         self.route(out)
         self.topo_received += 1
@@ -463,19 +463,20 @@ class SimEngine:
 
     def force_global_relabel(self, capture: bool = False) -> Optional[GrSnapshot]:
         """Run a full global relabel now. With ``capture=True`` returns the
-        frozen post-descent state (heights are exact residual distances at
-        that instant, before normal execution resumes)."""
+        frozen state after relabel-down (heights are exact residual distances
+        at that instant, before normal execution resumes)."""
         return self._run_gr(capture=capture)
 
     # -- global relabel (synchronous) -----------------------------------------
 
     def _run_gr(self, capture: bool = False) -> Optional[GrSnapshot]:
-        """One global relabel, start to finish, with topology events held
-        (``_run_steps(topo=False)``). Workers and vertices go in stored order,
-        so the schedule replays; ``gr.advance`` marks each step for observers.
-        Two self-checks ride on its walks and raise ``RuntimeError``: no
-        excess moves (``held``), and no height ends above where relabel-up
-        put it (``fixed`` for the fixed points, INF for every other vertex)."""
+        """One global relabel, start to finish. Only its drain runs the
+        scheduler, with topology events held (``_run_steps(topo=False)``).
+        Workers and vertices go in stored order, so the schedule replays;
+        ``gr.advance`` marks each step for observers. Two self-checks raise
+        ``RuntimeError``: no excess moves (``held``), and no height ends above
+        where relabel-up put it (``fixed`` for the fixed points, INF for
+        every other vertex)."""
         gr = self.gr
         np_ = self.store.n_projected
 
@@ -493,37 +494,34 @@ class SimEngine:
             if v.excess:
                 held[vid] = v.excess
 
-        # Relabel-down: park pushes, broadcast, descend by clamping alone.
-        # Only the fixed points (source, sink, deficits) left relabel-up with
-        # a finite height. Every other vertex is at (INF, INF), which
-        # relabel-up also set as its last broadcast, and has no dirty slot,
-        # so its broadcast would send nothing.
+        # Relabel-down: tiered breadth-first searches from the fixed points
+        # (source, sink, deficits) give every other vertex its residual
+        # distance, then the heights are written where a broadcast would.
         gr.advance(PHASE_RELABEL_DOWN)
-        fixed: List[Tuple[vx.VertexState, int, int]] = []
-        for w in self.workers:
-            w.ctx.push_enabled = False
-            out: list = []
-            for v in w.vertices.values():
-                if v.vtype != vx.NORMAL or v.excess < 0:
-                    fixed.append((v, v.height_pos, v.height_neg))
-                    vx.broadcast_height_if_needed(v, out)
-            w.route(out)
-        self._run_steps(None, topo=False)
+        fixed = [(v, v.height_pos, v.height_neg) for _, v in self.vertices_items()
+                 if v.vtype != vx.NORMAL or v.excess < 0]
+        source, sink = (self.workers[x % self.nworkers].vertices[x]
+                        for x in (self.source, self.sink))
+        self._levels([v for v, hp, _ in fixed if hp == 0], 0, "height_pos", "res_in")
+        self._levels([source], np_, "height_pos", "res_in")
+        self._levels([source], 0, "height_neg", "res_out")
+        self._levels([sink], np_, "height_neg", "res_out")
+        self._write_heights()
         for v, hp, hn in fixed:
             if v.height_pos > hp or v.height_neg > hn:
                 raise RuntimeError(f"non-monotone descent at vertex {v.vid}")
 
         snap = self._post_descent_state(np_) if capture else None
 
-        # Normal: resume pushes and lifts and discharge parked excess. A
-        # discharge changes only its own vertex's excess until the routed
-        # messages run, so each check below still sees the descent's result.
+        # Normal: resume lifts and discharge parked excess. A discharge
+        # changes only its own vertex's excess until the routed messages
+        # run, so each check below still sees relabel-down's result.
         gr.advance(PHASE_NORMAL)
         gr.finish(self._steps, self._steps, self._total_lifts())
         self._cut_baseline = self._total_cuts()
         for w in self.workers:
             ctx = w.ctx
-            ctx.push_enabled = ctx.lift_enabled = True
+            ctx.lift_enabled = True
             out = []
             for vid, v in w.vertices.items():
                 if v.height_pos > vx.INF or v.height_neg > vx.INF:
@@ -537,6 +535,43 @@ class SimEngine:
         if held:  # a vertex that held excess after the drain holds none now
             raise RuntimeError(f"flow moved during relabel at vertex {next(iter(held))}")
         return snap
+
+    def _levels(self, frontier: list, level: int, field: str, res: str) -> None:
+        """Breadth-first search, one level per superstep: each vertex still
+        at INF in height ``field`` that the frontier reaches takes the next
+        level and joins the next frontier. A vertex x reaches the neighbour
+        on slot i when ``x.<res>[i] > 0``; x's slots are read only while x
+        is expanded, and the neighbour is found in its owner's table."""
+        workers, n, INF = self.workers, self.nworkers, vx.INF
+        while frontier:
+            level += 1
+            reached = []
+            for x in frontier:
+                r, ids = getattr(x, res), x.nbr_ids
+                for i in x.live:
+                    if r[i] > 0:
+                        w = workers[ids[i] % n].vertices[ids[i]]
+                        if getattr(w, field) == INF:
+                            setattr(w, field, level)
+                            reached.append(w)
+            frontier = reached
+
+    def _write_heights(self) -> None:
+        """Leave what a broadcast of every vertex's new heights would: per
+        ``live`` slot i toward w, the positive height where ``res_in[i] > 0``
+        and the negative height where ``res_out[i] > 0``, else INF, become
+        the slot's sent value and w's mirror of it. Unlisted slots keep
+        theirs, which already match."""
+        workers, n, INF = self.workers, self.nworkers, vx.INF
+        for vid, v in self.vertices_items():
+            hp = v.last_bcast_pos = v.height_pos
+            hn = v.last_bcast_neg = v.height_neg
+            ids, res_in, res_out = v.nbr_ids, v.res_in, v.res_out
+            for i in v.live:
+                w = workers[ids[i] % n].vertices[ids[i]]
+                j = w.nbr_index[vid]
+                v.sent_hpos[i] = w.mirror_hpos[j] = hp if res_in[i] > 0 else INF
+                v.sent_hneg[i] = w.mirror_hneg[j] = hn if res_out[i] > 0 else INF
 
     def _post_descent_state(self, n_projected: int) -> GrSnapshot:
         hpos: Dict[int, int] = {}

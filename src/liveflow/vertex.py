@@ -52,7 +52,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import List, Sequence
+from typing import List
 
 __all__ = [
     "INF",
@@ -115,17 +115,16 @@ class Msg:
 
 
 class OpContext:
-    """Worker-local switches and counters shared by all handler calls.
+    """Worker-local switch and counters shared by all handler calls.
 
-    Pushes and lifts are disabled by the global-relabel phases; the lift
-    and flow-cut counters feed the relabel trigger. A flow cut is a
-    capacity decrease that forces a vertex to send flow back.
+    Lifts are disabled during a global relabel's drain; the lift and
+    flow-cut counters feed the relabel trigger. A flow cut is a capacity
+    decrease that forces a vertex to send flow back.
     """
 
-    __slots__ = ("push_enabled", "lift_enabled", "lift_count", "cut_count")
+    __slots__ = ("lift_enabled", "lift_count", "cut_count")
 
     def __init__(self):
-        self.push_enabled = True
         self.lift_enabled = True
         self.lift_count = 0
         self.cut_count = 0
@@ -187,7 +186,7 @@ class VertexState:
         self.live: List[int] = []
         self.last_bcast_pos = self.height_pos
         self.last_bcast_neg = self.height_neg
-        self.pending_dirty: List[int] = []
+        self.pending_dirty = -1   # the slot the current handler run touched, or -1
 
     def __repr__(self):  # pragma: no cover - debugging aid
         t = {SOURCE: "S", SINK: "T", NORMAL: "N"}[self.vtype]
@@ -247,12 +246,10 @@ def _send(v: VertexState, i: int, kind: int, amount: int, out: list) -> None:
     out.append((v.nbr_ids[i], Msg(v.vid, kind, amount, hpos, hneg)))
 
 
-def push(v: VertexState, i: int, ctx: OpContext, out: list) -> int:
+def push(v: VertexState, i: int, out: list) -> int:
     """Push as much flow (positive or negative) as possible to neighbour
     slot i; a no-op when the height or residual conditions fail. Returns the
     amount moved (negative for deficit pushes)."""
-    if not ctx.push_enabled:
-        return 0
     amount = 0
     e = v.excess
     if e > 0 and v.height_pos > v.mirror_hpos[i]:
@@ -294,12 +291,12 @@ def discharge(v: VertexState, ctx: OpContext, out: list) -> None:
     lists are scanned once per round. A push that leaves excess behind has
     saturated its arc, so it never feeds the minimum.
 
-    While pushes are disabled (relabel-down, when lifts are disabled too)
-    nothing can act and the call returns at once. The lift raises a normal
-    vertex to one above the lowest residual mirror; when every residual
-    mirror is INF a height refresh is in flight and the excess waits.
+    The lift raises a normal vertex to one above the lowest residual mirror;
+    while lifts are disabled (a global relabel's drain) the excess is parked
+    instead. When every residual mirror is INF a height refresh is in flight
+    and the excess waits.
     """
-    if not ctx.push_enabled or (v.excess < 0 and v.height_neg >= INF):
+    if v.excess < 0 and v.height_neg >= INF:
         return
     live = v.live
     normal = v.vtype == NORMAL
@@ -314,7 +311,7 @@ def discharge(v: VertexState, ctx: OpContext, out: list) -> None:
             if res[i] > 0:
                 m = mirrors[i]
                 if h > m:
-                    push(v, i, ctx, out)
+                    push(v, i, out)
                     if v.excess == 0:
                         return
                 elif m < best:
@@ -334,13 +331,13 @@ def discharge(v: VertexState, ctx: OpContext, out: list) -> None:
         ctx.lift_count += 1
 
 
-def restore_height_invariant(v: VertexState, i: int, ctx: OpContext, out: list) -> None:
+def restore_height_invariant(v: VertexState, i: int, out: list) -> None:
     """Re-establish the local height invariant against neighbour slot i:
     first try to saturate the arc by pushing, then descend whichever own
     height still sits more than one level above the mirrored height on a
     positive residual."""
     if v.excess:
-        push(v, i, ctx, out)
+        push(v, i, out)
     if v.vtype != NORMAL:
         return
     cap = v.mirror_hpos[i] + 1
@@ -351,15 +348,13 @@ def restore_height_invariant(v: VertexState, i: int, ctx: OpContext, out: list) 
         v.height_neg = cap
 
 
-def broadcast_height_if_needed(
-    v: VertexState, out: list, dirty: Sequence[int] = ()
-) -> None:
+def broadcast_height_if_needed(v: VertexState, out: list, dirty: int = -1) -> None:
     """Send updated heights to neighbours that need them.
 
     A full scan of the ``live`` slots runs only when a height changed since
     the last broadcast (an unlisted slot has both residuals 0 and needs no
-    height); otherwise only the ``dirty`` slots (neighbours whose residuals were
-    touched by the current handler) are re-checked, which is what re-sends a
+    height); otherwise only the ``dirty`` slot (the neighbour whose residuals
+    the current handler touched, -1 for none) is re-checked, which re-sends a
     previously suppressed height once the relevant residual reopens. Each
     message is what :func:`_send` would build for a zero flow, written
     inline.
@@ -371,7 +366,7 @@ def broadcast_height_if_needed(
         v.last_bcast_pos = hp
         v.last_bcast_neg = hn
     else:
-        slots = dirty
+        slots = (dirty,) if dirty >= 0 else ()
     res_in = v.res_in
     res_out = v.res_out
     sent_p = v.sent_hpos
@@ -397,14 +392,7 @@ def on_new_max_vertex_count(v: VertexState, new_count: int) -> None:
         v.height_neg = new_count
 
 
-def on_edge_changed(
-    v: VertexState,
-    w: int,
-    delta: int,
-    ctx: OpContext,
-    out: list,
-    source_id: int,
-) -> int:
+def on_edge_changed(v: VertexState, w: int, delta: int, out: list, source_id: int) -> int:
     """Apply a capacity change on the outgoing edge (v, w).
 
     Loops, edges into the source, and edges out of the sink have no effect
@@ -425,8 +413,8 @@ def on_edge_changed(
         # The source keeps enough excess to saturate all outgoing edges.
         v.excess += delta
     _send(v, i, CAP_OFFSET, delta, out)
-    restore_height_invariant(v, i, ctx, out)
-    v.pending_dirty.append(i)
+    restore_height_invariant(v, i, out)
+    v.pending_dirty = i
     return i
 
 
@@ -469,7 +457,7 @@ def on_message_received(v: VertexState, m: Msg, ctx: OpContext, out: list) -> in
         _relist(v, i)
 
     if v.excess:
-        push(v, i, ctx, out)
+        push(v, i, out)
     if v.vtype == NORMAL:
         if v.res_out[i] > 0 and v.height_pos > hpos + 1:
             v.height_pos = hpos + 1
@@ -480,7 +468,7 @@ def on_message_received(v: VertexState, m: Msg, ctx: OpContext, out: list) -> in
             # positive flow toward itself instead of being orbited forever.
             v.height_pos = 0
 
-    v.pending_dirty.append(i)
+    v.pending_dirty = i
     return i
 
 
@@ -490,21 +478,17 @@ def finish_vertex(v: VertexState, ctx: OpContext, out: list) -> None:
     edge or message handler touched)."""
     if v.excess:
         discharge(v, ctx, out)
-    dirty = v.pending_dirty
-    broadcast_height_if_needed(v, out, dirty)
-    dirty.clear()
+    broadcast_height_if_needed(v, out, v.pending_dirty)
+    v.pending_dirty = -1
 
 
 def relabel_up(v: VertexState, n_projected: int) -> None:
-    """Reset heights for the descent pass of a global relabel.
+    """Reset heights for a global relabel's breadth-first searches.
 
     Everything rises to INF except the fixed points: the source (projected
     count, 0), the sink (0, projected count), and deficit vertices (0, INF).
-    Mirrors are reset to INF as well: neighbours' heights were just reset
-    too, and a stale finite mirror would cap the descent below the true
-    residual distance. Sent-height tracking is aligned so that only vertices
-    whose heights differ from INF (the fixed points) broadcast at the start
-    of the descent.
+    Only the heights change: relabel-down writes the sent heights and the
+    mirrors of the ``live`` slots once the searches are done.
     """
     if v.vtype == SOURCE:
         v.height_pos, v.height_neg = n_projected, 0
@@ -514,11 +498,3 @@ def relabel_up(v: VertexState, n_projected: int) -> None:
         v.height_pos, v.height_neg = 0, INF
     else:
         v.height_pos, v.height_neg = INF, INF
-    n = len(v.nbr_ids)
-    v.mirror_hpos = [INF] * n
-    v.mirror_hneg = [INF] * n
-    v.sent_hpos = [INF] * n
-    v.sent_hneg = [INF] * n
-    v.last_bcast_pos = INF
-    v.last_bcast_neg = INF
-    v.pending_dirty.clear()

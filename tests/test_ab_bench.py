@@ -33,3 +33,21 @@ def test_sigterm_removes_the_base_export(tmp_path):
             proc.wait()
     assert code != 0
     assert list(tmp_path.glob("ab_bench-*")) == []
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--workload", "nope"], "invalid choice: 'nope'"),
+    (["--seconds", "nan"], "--seconds must be positive and finite"),
+    (["--seconds", "inf"], "--seconds must be positive and finite"),
+    (["--seconds", "0"], "--seconds must be positive and finite"),
+    (["--seconds", "-1"], "--seconds must be positive and finite"),
+], ids=["unknown_workload", "nan_seconds", "inf_seconds", "zero_seconds", "negative_seconds"])
+def test_bad_arguments_exit_2_before_the_base_is_exported(tmp_path, args, message):
+    env = dict(os.environ, TMPDIR=str(tmp_path))
+    proc = subprocess.run(
+        [sys.executable, SCRIPT, "--base", "HEAD", "--pairs", "1", *args],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert message in proc.stderr
+    assert list(tmp_path.glob("ab_bench-*")) == []

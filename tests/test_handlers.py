@@ -39,28 +39,28 @@ class TestOnEdgeChanged:
         v = make_vertex(vid=3, excess=5, hpos=2)
         wire(v, 4, res_out=5, mhpos=INF)
         ctx, out = OpContext(), []
-        assert on_edge_changed(v, 3, 7, ctx, out, SRC_ID) == -1
+        assert on_edge_changed(v, 3, 7, out, SRC_ID) == -1
         finish_vertex(v, ctx, out)
         assert out == [] and 3 not in v.nbr_index and v.excess == 5
 
     def test_edge_into_source_ignored(self):
         v = make_vertex(vid=3)
         ctx, out = OpContext(), []
-        assert on_edge_changed(v, SRC_ID, 7, ctx, out, SRC_ID) == -1
+        assert on_edge_changed(v, SRC_ID, 7, out, SRC_ID) == -1
         finish_vertex(v, ctx, out)
         assert out == [] and v.nbr_ids == []
 
     def test_sink_tail_ignored(self):
         v = make_vertex(vid=3, vtype=SINK)
         ctx, out = OpContext(), []
-        assert on_edge_changed(v, 4, 7, ctx, out, SRC_ID) == -1
+        assert on_edge_changed(v, 4, 7, out, SRC_ID) == -1
         finish_vertex(v, ctx, out)
         assert out == [] and v.nbr_ids == []
 
     def test_source_gains_excess_and_saturates_new_edge(self):
         s = make_vertex(vid=SRC_ID, vtype=SOURCE, hpos=10)
         ctx, out = OpContext(), []
-        i = on_edge_changed(s, 7, 7, ctx, out, SRC_ID)
+        i = on_edge_changed(s, 7, 7, out, SRC_ID)
         finish_vertex(s, ctx, out)
         # The head's heights are unknown (INF mirrors), so the 7 waits.
         assert s.excess == 7
@@ -80,7 +80,7 @@ class TestOnEdgeChanged:
         v = make_vertex(vid=3, excess=0, hpos=2, hneg=INF)
         i = wire(v, 7, res_out=2, res_in=0, mhpos=1)
         ctx, out = OpContext(), []
-        on_edge_changed(v, 7, -5, ctx, out, SRC_ID)
+        on_edge_changed(v, 7, -5, out, SRC_ID)
         finish_vertex(v, ctx, out)
         assert v.res_out[i] == -3  # restored at the peer on offset receipt
         offsets = [(dst, m.amount) for dst, m in out if m.kind == CAP_OFFSET]
@@ -98,7 +98,7 @@ class TestOnEdgeChanged:
         j = wire(w, 9, res_out=0, res_in=5, mhpos=0, mhneg=0)  # forwarded trail
 
         out = []
-        on_edge_changed(v, 7, -5, ctx, out, SRC_ID)
+        on_edge_changed(v, 7, -5, out, SRC_ID)
         finish_vertex(v, ctx, out)
         assert v.res_out[i] == -5
         transfer = [m for dst, m in out if dst == 7]
@@ -182,7 +182,7 @@ class TestOnMessageReceived:
             before = [list(recv.res_in), list(recv.res_out),
                       list(recv.mirror_hpos), list(recv.mirror_hneg)]
             out = []
-            on_edge_changed(sender, peer, 4, ctx, out, SRC_ID)
+            on_edge_changed(sender, peer, 4, out, SRC_ID)
             finish_vertex(sender, ctx, out)
             replies = []
             for dst, m in out:

@@ -84,7 +84,8 @@ class TestPhaseMachine:
         # ``finish``, each trigger probe through ``runtime.check_trigger``,
         # and ``gr.phase`` read at every message run. ``finish`` and
         # ``check_trigger`` are wrapped with the tracer's exact parameter
-        # lists, so a signature change fails here.
+        # lists, so a signature change fails here. Relabel-up and
+        # relabel-down send and run no message: only the drain does.
         log = []
         advance, finish, message_run = GrState.advance, GrState.finish, Worker.message_run
         trigger = runtime.check_trigger
@@ -92,11 +93,11 @@ class TestPhaseMachine:
 
         def logged_advance(gr, phase):
             advance(gr, phase)
-            log.append(("advance", phase))
+            log.append(("advance", phase, sum(w.msg_sent for w in eng.workers)))
 
         def logged_finish(gr, now_ms, started_ms, lifts_total):
             finish(gr, now_ms, started_ms, lifts_total)
-            log.append(("finish", None))
+            log.append(("finish", None, None))
 
         def logged_check_trigger(gr, now_ms, lifts_total, n_max):
             fired = trigger(gr, now_ms, lifts_total, n_max)
@@ -104,7 +105,7 @@ class TestPhaseMachine:
             return fired
 
         def logged_message_run(w, ci):
-            log.append(("run", w.engine.gr.phase))
+            log.append(("run", w.engine.gr.phase, None))
             message_run(w, ci)
 
         monkeypatch.setattr(GrState, "advance", logged_advance)
@@ -125,19 +126,23 @@ class TestPhaseMachine:
         steps = (PHASE_DRAIN, PHASE_RELABEL_UP, PHASE_RELABEL_DOWN, PHASE_NORMAL)
         step = None          # last step entered; None outside a relabel
         finishes = drain_runs = 0
-        for kind, phase in log:
+        for kind, phase, sent in log:
             if kind == "advance":
                 expect = steps[0] if step is None else steps[steps.index(step) + 1]
                 assert phase == expect
+                if phase == PHASE_RELABEL_UP:
+                    sent_up = sent
+                elif phase == PHASE_NORMAL:
+                    assert sent == sent_up
                 step = phase
             elif kind == "finish":
                 assert step == PHASE_NORMAL
                 step = None
                 finishes += 1
             else:
-                # Only the drain and the descent run messages inside a
-                # relabel, and exactly those runs see a non-normal phase.
-                assert step in (None, PHASE_DRAIN, PHASE_RELABEL_DOWN)
+                # Only the drain runs messages inside a relabel, and exactly
+                # those runs see a non-normal phase.
+                assert step in (None, PHASE_DRAIN)
                 assert (phase != PHASE_NORMAL) == (step is not None)
                 drain_runs += step is not None
         assert step is None
@@ -412,7 +417,8 @@ class TestExactnessOnRandomStates:
 
 
 
-# Faults injected once the descent has run; the sink holds the flow value.
+# Faults injected once relabel-down has written the heights; the sink holds
+# the flow value.
 
 def move_excess(eng):
     eng.workers[9 % eng.nworkers].vertices[9].excess -= 1
@@ -451,15 +457,14 @@ class TestSelfChecks:
         for i, (u, v, c) in enumerate([(0, 1, 5), (1, 9, 5), (0, 2, 3)]):
             eng.ingest(TopologyEvent(i, u, v, c))
         assert eng.query().flow_value == 5
-        run_steps = eng._run_steps
+        write_heights = eng._write_heights
 
-        def faulty_run_steps(budget, topo=True):
-            done = run_steps(budget, topo)
-            if eng.gr.phase == PHASE_RELABEL_DOWN:
-                fault(eng)
-            return done
+        def faulty_write_heights():
+            write_heights()
+            assert eng.gr.phase == PHASE_RELABEL_DOWN
+            fault(eng)
 
-        monkeypatch.setattr(eng, "_run_steps", faulty_run_steps)
+        monkeypatch.setattr(eng, "_write_heights", faulty_write_heights)
         with pytest.raises(RuntimeError, match=message):
             eng.force_global_relabel()
 

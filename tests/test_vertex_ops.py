@@ -1,14 +1,13 @@
 """Hand-traced unit checks of the core vertex operations."""
 
-import copy
 import random
 
 import pytest
 
-from helpers import growth_stream
+from helpers import expected_heights, growth_stream
 from liveflow import TopologyEvent, max_flow_reference, sliding_window_transform
 from liveflow.relabel import PHASE_RELABEL_DOWN, GrState
-from liveflow.runtime import EngineConfig, SimEngine, Worker
+from liveflow.runtime import EngineConfig, SimEngine
 from liveflow.vertex import (
     CAP_OFFSET,
     FLOW,
@@ -57,7 +56,7 @@ class TestPush:
         v = make_vertex(excess=5, hpos=2)
         i = wire(v, 7, res_out=3, res_in=0, mhpos=1)
         out = []
-        moved = push(v, i, OpContext(), out)
+        moved = push(v, i, out)
         assert moved == 3
         assert (v.excess, v.res_out[i], v.res_in[i]) == (2, 0, 3)
         assert flows(out) == [(7, 3)]
@@ -66,14 +65,14 @@ class TestPush:
         v = make_vertex(excess=0, hpos=5)
         i = wire(v, 7, res_out=3)
         out = []
-        assert push(v, i, OpContext(), out) == 0
+        assert push(v, i, out) == 0
         assert out == [] and v.res_out[i] == 3
 
     def test_negative_push_through_inbound_residual(self):
         v = make_vertex(excess=-4, hneg=1)
         i = wire(v, 7, res_out=0, res_in=10, mhneg=0)
         out = []
-        moved = push(v, i, OpContext(), out)
+        moved = push(v, i, out)
         assert moved == -4
         assert (v.excess, v.res_out[i], v.res_in[i]) == (0, 4, 6)
         assert flows(out) == [(7, -4)]
@@ -81,7 +80,7 @@ class TestPush:
     def test_uphill_push_blocked(self):
         v = make_vertex(excess=5, hpos=1)
         i = wire(v, 7, res_out=3, mhpos=1)  # equal height is not downhill
-        assert push(v, i, OpContext(), []) == 0
+        assert push(v, i, []) == 0
 
 
 class TestLift:
@@ -156,18 +155,6 @@ class TestDischarge:
         assert v.excess == -3
         assert out == []
 
-    def test_push_and_lift_disabled_changes_nothing(self):
-        ctx = OpContext()
-        ctx.push_enabled = False
-        ctx.lift_enabled = False
-        v = make_vertex(excess=2, hpos=3, hneg=4)
-        i = wire(v, 7, res_out=5, res_in=1, mhpos=0, mhneg=0)
-        out = []
-        discharge(v, ctx, out)
-        assert out == []
-        assert (v.excess, v.height_pos, v.height_neg) == (2, 3, 4)
-        assert (v.res_out[i], v.res_in[i], ctx.lift_count) == (5, 1, 0)
-
     def test_equal_height_arc_is_not_pushed_but_sets_the_lift_minimum(self):
         v = make_vertex(excess=2, hpos=4)
         level = wire(v, 7, res_out=5, mhpos=4)   # equal height: not admissible
@@ -194,14 +181,14 @@ class TestRestoreHeightInvariant:
     def test_descends_to_one_above_neighbour(self):
         v = make_vertex(excess=0, hpos=9)
         i = wire(v, 7, res_out=2, mhpos=3)
-        restore_height_invariant(v, i, OpContext(), [])
+        restore_height_invariant(v, i, [])
         assert v.height_pos == 4
 
     def test_source_saturates_but_never_descends(self):
         v = make_vertex(vtype=SOURCE, excess=8, hpos=12)
         i = wire(v, 7, res_out=6, mhpos=3)
         out = []
-        restore_height_invariant(v, i, OpContext(), out)
+        restore_height_invariant(v, i, out)
         assert v.height_pos == 12
         assert flows(out) == [(7, 6)]
         assert v.res_out[i] == 0
@@ -209,14 +196,14 @@ class TestRestoreHeightInvariant:
     def test_no_residual_means_no_constraint(self):
         v = make_vertex(excess=0, hpos=9, hneg=9)
         i = wire(v, 7, res_out=0, res_in=0, mhpos=1, mhneg=1)
-        restore_height_invariant(v, i, OpContext(), [])
+        restore_height_invariant(v, i, [])
         assert v.height_pos == 9
         assert v.height_neg == 9
 
     def test_negative_height_clamp(self):
         v = make_vertex(excess=0, hpos=0, hneg=9)
         i = wire(v, 7, res_in=2, mhneg=3)
-        restore_height_invariant(v, i, OpContext(), [])
+        restore_height_invariant(v, i, [])
         assert v.height_neg == 4
 
 
@@ -256,10 +243,10 @@ class TestBroadcast:
         v = make_vertex(hpos=4, hneg=2)
         i = wire(v, 7, res_out=0, res_in=0)
         out = []
-        broadcast_height_if_needed(v, out, dirty=(i,))
+        broadcast_height_if_needed(v, out, dirty=i)
         assert out == []  # nothing needed yet
         v.res_in[i] = 3  # the arc toward us reopened
-        broadcast_height_if_needed(v, out, dirty=(i,))
+        broadcast_height_if_needed(v, out, dirty=i)
         assert len(out) == 1
         assert out[0][1].hpos == 4
 
@@ -271,30 +258,26 @@ def deliver(out, dst, w, ctx):
             on_message_received(w, m, ctx, [])
 
 
-def describe(out):
-    return [(dst, m.sender, m.kind, m.amount, m.hpos, m.hneg) for dst, m in out]
-
-
 class TestLiveIndex:
     def test_deleted_pair_leaves_the_index_and_returns_on_its_slot(self):
         ctx = OpContext()
         u, w = make_vertex(vid=2), make_vertex(vid=7)
         out = []
-        i = on_edge_changed(u, 7, 5, ctx, out, 0)
-        on_edge_changed(u, 8, 4, ctx, out, 0)
+        i = on_edge_changed(u, 7, 5, out, 0)
+        on_edge_changed(u, 8, 4, out, 0)
         deliver(out, 7, w, ctx)
         j = w.nbr_index[2]
         assert (i, u.live, w.live) == (0, [0, 1], [j])
 
         out = []
-        on_edge_changed(u, 7, -5, ctx, out, 0)  # the pair's whole capacity
+        on_edge_changed(u, 7, -5, out, 0)  # the pair's whole capacity
         deliver(out, 7, w, ctx)
         assert (u.res_out[i], u.res_in[i], w.res_out[j], w.res_in[j]) == (0, 0, 0, 0)
         assert u.live == [1] and u.nbr_index[7] == i
         assert w.live == [] and w.nbr_index[2] == j
 
         out = []
-        assert on_edge_changed(u, 7, 3, ctx, out, 0) == i
+        assert on_edge_changed(u, 7, 3, out, 0) == i
         assert u.live == [0, 1] and len(u.nbr_ids) == 2
         # no introduction: only the capacity offset leaves
         assert [(dst, m.kind, m.amount) for dst, m in out] == [(7, CAP_OFFSET, 3)]
@@ -343,43 +326,40 @@ class TestLiveIndex:
         assert eng.query().flow_value == want
         assert eng.scan_invariants() == []
 
-    def test_relabel_down_pass_routes_what_a_pass_over_every_vertex_would(self, monkeypatch):
-        # Before each relabel's descent, a copy of every worker's vertices
-        # runs the broadcast over all of them; the engine's pass over the
-        # fixed points must route exactly those messages.
-        eng = SimEngine(EngineConfig(source=0, sink=1, workers=2, deterministic_seed=3))
-        expected = {}
-        pairs = []
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_relabel_at_quiescence_writes_exact_heights_and_matching_mirrors(
+        self, workers, monkeypatch
+    ):
+        # A sliding window leaves dead slots, and its flow cuts leave
+        # deficits that the stream's own relabels see. Relabel-down sends no
+        # message: it writes heights, sent values and mirrors itself. So a
+        # relabel forced at quiescence must leave, before any pump, a clean
+        # scan (every mirror equal to the counterpart's last sent value,
+        # dead slots included) and the exact residual distances.
+        eng = SimEngine(EngineConfig(source=0, sink=1, workers=workers, deterministic_seed=3))
         deficits = []
-        advance, route = GrState.advance, Worker.route
+        advance = GrState.advance
 
         def observe_advance(gr, phase):
             advance(gr, phase)
             if phase == PHASE_RELABEL_DOWN:
-                for w in eng.workers:
-                    out = []
-                    for v in copy.deepcopy(list(w.vertices.values())):
-                        broadcast_height_if_needed(v, out)
-                    expected[w.wid] = describe(out)
-                    deficits.extend(v.vid for v in w.vertices.values()
-                                    if v.vtype == NORMAL and v.excess < 0)
-
-        def observe_route(w, out):
-            if w.wid in expected:  # the worker's first route of the descent
-                pairs.append((expected.pop(w.wid), describe(out)))
-            route(w, out)
+                deficits.extend(vid for vid, v in eng.vertices_items()
+                                if v.vtype == NORMAL and v.excess < 0)
 
         monkeypatch.setattr(GrState, "advance", observe_advance)
-        monkeypatch.setattr(Worker, "route", observe_route)
         events = list(sliding_window_transform(
             growth_stream(random.Random(5), 500, 30, st_edge_prob=0.12), 90))
+        dead = 0
         for k, ev in enumerate(events):
             eng.ingest(ev)
             if k % 25 == 24:
                 want, _ = max_flow_reference(eng.store.snapshot(), 0, 1)
                 assert eng.query().flow_value == want
-        assert not expected
-        assert eng.gr.runs > 0 and len(pairs) == 2 * eng.gr.runs
+                dead += sum(len(v.nbr_ids) - len(v.live) for _, v in eng.vertices_items())
+                snap = eng.force_global_relabel(capture=True)
+                assert eng.scan_invariants() == []
+                hexp, nexp = expected_heights(snap, 0, 1, set(snap.height_pos))
+                assert (snap.height_pos, snap.height_neg) == (hexp, nexp)
+                assert eng.query().flow_value == want
+        assert dead, "no pair died before a forced relabel"
         assert deficits, "no relabel saw a deficit vertex"
-        assert all(want == got for want, got in pairs)
-        assert any(got for _, got in pairs)
