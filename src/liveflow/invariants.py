@@ -16,6 +16,18 @@ Checked per vertex and per neighbour slot:
   source, edges out of the sink);
 * normal vertices hold zero excess; a deficit pins the positive height at 0;
 * source/sink heights sit at their fixed points;
+* the negative height field is on or off, and the source's negative height
+  says which: 0 while it is on, INF while it is off. While it is off the
+  sink's negative height is INF too, no vertex holds a deficit, and every
+  normal vertex's negative height and every negative mirror is INF, on dead
+  slots too (the relabel that switches the field off clears them); each
+  breach is its own error. A negative height is read only
+  by a deficit's push, so this rule implies the negative height invariant
+  wherever a deficit can push: while the field is off there is no deficit
+  to push and every relevant value is INF, which meets the invariant
+  (INF <= INF + 1); while it is on the rules below check it as before. A
+  finite negative height while the field is off could only have leaked in,
+  since the fixed points that seed that field hold INF;
 * the height invariant holds along every positive residual arc, for both
   the positive and the negative height (the sink is exempt from the
   negative-height rule, mirroring the source's exemption from pushing
@@ -45,6 +57,7 @@ def scan(engine) -> List[str]:
     s = engine.source
     t = engine.sink
     n_max = engine.store.n_max
+    neg_on = s in verts and verts[s].height_neg != vx.INF
 
     def alg_cap(u: int, w: int) -> int:
         if u == w or w == s or u == t:
@@ -67,13 +80,21 @@ def scan(engine) -> List[str]:
         if v.vtype == vx.SOURCE:
             if v.height_pos < n_max:
                 err(f"source height {v.height_pos} below vertex count {n_max}")
-            if v.height_neg != 0:
-                err(f"source negative height {v.height_neg} != 0")
+            if v.height_neg not in (0, vx.INF):
+                err(f"source negative height {v.height_neg} is neither 0 (field on) nor INF (field off)")
         if v.vtype == vx.SINK:
             if v.height_pos != 0:
                 err(f"sink height {v.height_pos} != 0")
-            if v.height_neg < n_max:
-                err(f"sink negative height {v.height_neg} below vertex count {n_max}")
+            if neg_on and not n_max <= v.height_neg < vx.INF:
+                err(f"sink negative height {v.height_neg} outside [{n_max}, INF) "
+                    "while the negative field is on")
+            if not neg_on and v.height_neg != vx.INF:
+                err(f"sink negative height {v.height_neg} while the negative field is off")
+        if not neg_on:
+            if v.excess < 0:
+                err(f"vertex {vid}: deficit {v.excess} while the negative field is off")
+            if v.vtype == vx.NORMAL and v.height_neg != vx.INF:
+                err(f"vertex {vid}: negative height {v.height_neg} while the negative field is off")
 
         ids = v.nbr_ids
         live = v.live
@@ -125,6 +146,9 @@ def scan(engine) -> List[str]:
                     f"edge ({vid},{wid}): stale negative-height mirror "
                     f"{v.mirror_hneg[i]} != {w.height_neg}"
                 )
+            if not neg_on and v.mirror_hneg[i] != vx.INF:
+                err(f"edge ({vid},{wid}): negative mirror {v.mirror_hneg[i]} "
+                    "while the negative field is off")
             # Mirrors always equal the last transmitted value.
             if v.mirror_hpos[i] != w.sent_hpos[j]:
                 err(

@@ -7,10 +7,13 @@ made between scheduler batches with topology held, in four steps:
 
 * drain: lifts are disabled and all in-flight messages are processed.
 * relabel-up: every vertex jumps to INF except the fixed points
-  (source, sink, deficit vertices).
+  (source, sink, deficit vertices). The negative height field is switched
+  on when the drain left a deficit and off when it left none; while it is
+  off the source and the sink hold INF as their negative height too.
 * relabel-down: breadth-first searches from the fixed points, one level at
-  a time, set every other height to its residual distance; sent heights
-  and mirrors are then written directly, with no message.
+  a time, set every other height to its residual distance (the negative
+  field's searches run only while it is on); sent heights and mirrors are
+  then written directly, with no message.
 * normal: lifts resume and parked excess is discharged.
 
 The trigger is a lift budget, counted since the last relabel: the
@@ -19,7 +22,11 @@ capacity decrease that forced a vertex to send flow back) has happened
 since the last relabel. A cut leaves excess and deficits the current
 heights were never built for, and correcting stale heights one lift at a
 time costs a height broadcast per lift. Counting work rather than elapsed
-time follows Cherkassky & Goldberg (Algorithmica 1997).
+time follows Cherkassky & Goldberg (Algorithmica 1997). A cut while the
+negative field is off does not wait for the budget: a deficit it left has
+no negative height to push along, so ``SimEngine.pump`` relabels at its
+next probe, also at quiescence. That rule sits in the engine, not in
+``check_trigger``, which keeps its call shape for observers.
 """
 
 from __future__ import annotations

@@ -440,21 +440,36 @@ class SimEngine:
 
         The relabel trigger is probed before every batch of PROBE_EVERY
         steps, after marking whether a flow cut happened since the last
-        relabel."""
+        relabel. A cut while the negative field is off may have left a
+        deficit that cannot push, so it starts a relabel at the next probe
+        whatever the lift count, and pump does not return at quiescence
+        before that relabel has run."""
         gr = self.gr
         done = 0
         while max_steps is None or done < max_steps:
             gr.cut_pending = self._total_cuts() > self._cut_baseline
-            if check_trigger(
-                gr, self._steps, self._total_lifts(), self.store.n_max
-            ) and not self._queues_empty():
+            if self._cut_unhandled() or (
+                check_trigger(gr, self._steps, self._total_lifts(), self.store.n_max)
+                and not self._queues_empty()
+            ):
                 self._run_gr(capture=False)
             budget = PROBE_EVERY if max_steps is None else min(PROBE_EVERY, max_steps - done)
             ran = self._run_steps(budget)
             done += ran
-            if ran < budget:
+            if ran < budget and not self._cut_unhandled():
                 break
         return done
+
+    def _neg_field_on(self) -> bool:
+        """Whether the negative height field is on: the source's negative
+        height is 0 while it is on and INF while it is off."""
+        s = self.source
+        return self.workers[s % self.nworkers].vertices[s].height_neg == 0
+
+    def _cut_unhandled(self) -> bool:
+        """A flow cut happened since the last relabel while the negative
+        field is off, so a deficit it left cannot push."""
+        return self._total_cuts() > self._cut_baseline and not self._neg_field_on()
 
     def query(self, trigger_ts: Optional[int] = None) -> QueryResult:
         started = time.perf_counter()
@@ -472,6 +487,10 @@ class SimEngine:
     def _run_gr(self, capture: bool = False) -> Optional[GrSnapshot]:
         """One global relabel, start to finish. Only its drain runs the
         scheduler, with topology events held (``_run_steps(topo=False)``).
+        After the drain it decides the negative field's state: on exactly
+        when some vertex holds a deficit. While the field is off the
+        negative searches are skipped and every negative height, sent value
+        and mirror is INF.
         Workers and vertices go in stored order, so the schedule replays;
         ``gr.advance`` marks each step for observers. Two self-checks raise
         ``RuntimeError``: no excess moves (``held``), and no height ends above
@@ -486,26 +505,40 @@ class SimEngine:
             w.ctx.lift_enabled = False
         self._run_steps(None, topo=False)
 
-        # Relabel-up: every vertex but the fixed points jumps to INF.
+        # Relabel-up: every vertex but the fixed points jumps to INF. The
+        # negative field is on exactly when the drain left a deficit. When
+        # it goes off, every slot's negative sent value and mirror goes to
+        # INF too: relabel-down writes only ``live`` slots, and a dead slot
+        # that keeps a finite value could carry it into the graph once its
+        # pair is added again.
         gr.advance(PHASE_RELABEL_UP)
         held: Dict[int, int] = {}
         for vid, v in self.vertices_items():
-            vx.relabel_up(v, np_)
             if v.excess:
                 held[vid] = v.excess
+        neg = any(e < 0 for e in held.values())
+        clear = not neg and self._neg_field_on()
+        fixed = []
+        for _, v in self.vertices_items():
+            vx.relabel_up(v, np_, neg)
+            if clear:
+                v.sent_hneg = [vx.INF] * len(v.nbr_ids)
+                v.mirror_hneg = [vx.INF] * len(v.nbr_ids)
+            if v.vtype != vx.NORMAL or v.excess < 0:
+                fixed.append((v, v.height_pos, v.height_neg))
 
         # Relabel-down: tiered breadth-first searches from the fixed points
         # (source, sink, deficits) give every other vertex its residual
         # distance, then the heights are written where a broadcast would.
+        # With the negative field off every negative height stays INF.
         gr.advance(PHASE_RELABEL_DOWN)
-        fixed = [(v, v.height_pos, v.height_neg) for _, v in self.vertices_items()
-                 if v.vtype != vx.NORMAL or v.excess < 0]
         source, sink = (self.workers[x % self.nworkers].vertices[x]
                         for x in (self.source, self.sink))
         self._levels([v for v, hp, _ in fixed if hp == 0], 0, "height_pos", "res_in")
         self._levels([source], np_, "height_pos", "res_in")
-        self._levels([source], 0, "height_neg", "res_out")
-        self._levels([sink], np_, "height_neg", "res_out")
+        if neg:
+            self._levels([source], 0, "height_neg", "res_out")
+            self._levels([sink], np_, "height_neg", "res_out")
         self._write_heights()
         for v, hp, hn in fixed:
             if v.height_pos > hp or v.height_neg > hn:

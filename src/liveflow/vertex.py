@@ -46,7 +46,14 @@ Conventions used throughout:
   suppressed change can be re-sent the moment the residual reopens.
 * Deficits (negative excess) pin the positive height at zero, which turns
   the vertex into an attractor for positive flow; a deficit whose negative
-  height is INF cannot push and simply waits to be cancelled.
+  height is INF cannot push and simply waits to be cancelled. Only a
+  deficit reads the negative heights, so that field is kept only while a
+  deficit exists: a global relabel switches it on when the drain leaves a
+  deficit and off when it leaves none. While it is off the source and the
+  sink hold INF as their negative height, no finite negative height can
+  enter the graph, and every message carries INF for it. A deficit can
+  only come from a flow cut, and a cut while the field is off makes the
+  engine relabel at its next trigger probe.
 """
 
 from __future__ import annotations
@@ -171,9 +178,10 @@ class VertexState:
             self.height_pos = INF
             self.height_neg = INF
         else:
-            # Source/sink heights are raised by the projected-count event.
+            # The projected-count event raises the source's positive height;
+            # the negative field starts off, so both negative heights are INF.
             self.height_pos = 0
-            self.height_neg = 0
+            self.height_neg = INF
         self.nbr_ids: List[int] = []
         self.res_out: List[int] = []
         self.res_in: List[int] = []
@@ -382,13 +390,13 @@ def broadcast_height_if_needed(v: VertexState, out: list, dirty: int = -1) -> No
 
 def on_new_max_vertex_count(v: VertexState, new_count: int) -> None:
     """React to growth of the projected vertex count: the source's positive
-    height and the sink's negative height rise to the new count. The
-    discharge (new push opportunities may have appeared) and the height
-    broadcast are left to :func:`finish_vertex`, which closes the handler
-    run."""
+    height rises to the new count, and so does the sink's negative height
+    while the negative field is on (finite). The discharge (new push
+    opportunities may have appeared) and the height broadcast are left to
+    :func:`finish_vertex`, which closes the handler run."""
     if v.vtype == SOURCE:
         v.height_pos = new_count
-    elif v.vtype == SINK:
+    elif v.vtype == SINK and v.height_neg < INF:
         v.height_neg = new_count
 
 
@@ -482,18 +490,21 @@ def finish_vertex(v: VertexState, ctx: OpContext, out: list) -> None:
     v.pending_dirty = -1
 
 
-def relabel_up(v: VertexState, n_projected: int) -> None:
+def relabel_up(v: VertexState, n_projected: int, neg: bool) -> None:
     """Reset heights for a global relabel's breadth-first searches.
 
     Everything rises to INF except the fixed points: the source (projected
     count, 0), the sink (0, projected count), and deficit vertices (0, INF).
-    Only the heights change: relabel-down writes the sent heights and the
-    mirrors of the ``live`` slots once the searches are done.
+    ``neg`` says whether the negative field is on, which is whether some
+    vertex holds a deficit after the drain; while it is off the source and
+    the sink take INF as their negative height, so no finite negative height
+    enters the graph. Only the heights change: relabel-down writes the sent
+    heights and the mirrors of the ``live`` slots once the searches are done.
     """
     if v.vtype == SOURCE:
-        v.height_pos, v.height_neg = n_projected, 0
+        v.height_pos, v.height_neg = n_projected, 0 if neg else INF
     elif v.vtype == SINK:
-        v.height_pos, v.height_neg = 0, n_projected
+        v.height_pos, v.height_neg = 0, n_projected if neg else INF
     elif v.excess < 0:
         v.height_pos, v.height_neg = 0, INF
     else:

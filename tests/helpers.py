@@ -117,7 +117,9 @@ def expected_heights(snap, source: int, sink: int, vertices) -> Tuple[Dict, Dict
     relaxing along residual arcs (v -> w gives label(v) <= label(w) + 1);
     the source, sink, and deficits are pinned. Negative heights mirror this
     with the source at zero and the sink at projected count, relaxing along
-    arcs in the forward direction (w -> v gives label(v) <= label(w) + 1).
+    arcs in the forward direction (w -> v gives label(v) <= label(w) + 1),
+    when the snapshot holds a deficit; without one the negative field is off
+    and every negative height is INF.
     """
     np_ = snap.n_projected
     fwd = defaultdict(list)
@@ -148,7 +150,7 @@ def expected_heights(snap, source: int, sink: int, vertices) -> Tuple[Dict, Dict
     for d in snap.deficits:
         hseeds.setdefault(d, 0)
     hdist = relax(hseeds, set(hseeds), rev)
-    ndist = relax({source: 0, sink: np_}, {source, sink}, fwd)
+    ndist = relax({source: 0, sink: np_}, {source, sink}, fwd) if snap.deficits else {}
     hexp = {v: hdist.get(v, INF) for v in vertices}
     nexp = {v: ndist.get(v, INF) for v in vertices}
     return hexp, nexp

@@ -242,3 +242,12 @@ class TestOnNewMaxVertexCount:
         assert t.height_neg == 12
         assert flows(out) == [(7, -4)]
         assert t.excess == 0
+
+    def test_sink_keeps_infinite_negative_height_while_the_field_is_off(self):
+        t = make_vertex(vid=9, vtype=SINK, excess=3, hpos=0, hneg=INF)
+        wire(t, 7, res_in=6, mhneg=INF)
+        out = []
+        on_new_max_vertex_count(t, 12)
+        finish_vertex(t, OpContext(), out)
+        assert (t.height_pos, t.height_neg) == (0, INF)
+        assert out == []

@@ -91,7 +91,13 @@ class TestPhaseMachine:
         trigger = runtime.check_trigger
         probes = []
 
+        cut_runs = []
+
         def logged_advance(gr, phase):
+            if phase == PHASE_DRAIN:
+                # A cut while the negative field is off relabels without
+                # asking the trigger.
+                cut_runs.append(eng._cut_unhandled())
             advance(gr, phase)
             log.append(("advance", phase, sum(w.msg_sent for w in eng.workers)))
 
@@ -148,29 +154,42 @@ class TestPhaseMachine:
         assert step is None
         assert finishes == eng.gr.runs > 1
         assert drain_runs > 0
-        assert sum(probes) >= eng.gr.runs  # every relabel here was a fired probe
+        # Every relabel here was a fired probe or set off by such a cut.
+        assert sum(cut_runs) > 0
+        assert sum(probes) + sum(cut_runs) >= eng.gr.runs
 
 
 class TestRelabelUp:
     def test_plain_vertex_goes_to_infinity(self):
-        v = VertexState(5, NORMAL)
-        v.height_pos, v.height_neg = 3, 2
-        relabel_up(v, 12)
-        assert (v.height_pos, v.height_neg) == (INF, INF)
+        for neg in (False, True):
+            v = VertexState(5, NORMAL)
+            v.height_pos, v.height_neg = 3, 2
+            relabel_up(v, 12, neg)
+            assert (v.height_pos, v.height_neg) == (INF, INF)
 
     def test_deficit_keeps_zero_and_infinite_negative(self):
         v = VertexState(5, NORMAL)
         v.excess = -2
-        relabel_up(v, 12)
+        relabel_up(v, 12, True)
         assert (v.height_pos, v.height_neg) == (0, INF)
 
     def test_source_and_sink_fixed_points(self):
         s = VertexState(0, SOURCE)
-        relabel_up(s, 12)
+        relabel_up(s, 12, True)
         assert (s.height_pos, s.height_neg) == (12, 0)
         t = VertexState(9, SINK)
-        relabel_up(t, 12)
+        relabel_up(t, 12, True)
         assert (t.height_pos, t.height_neg) == (0, 12)
+
+    def test_negative_field_off_puts_the_fixed_points_at_infinity(self):
+        s = VertexState(0, SOURCE)
+        s.height_neg = 0
+        relabel_up(s, 12, False)
+        assert (s.height_pos, s.height_neg) == (12, INF)
+        t = VertexState(9, SINK)
+        t.height_neg = 12
+        relabel_up(t, 12, False)
+        assert (t.height_pos, t.height_neg) == (0, INF)
 
 
 class TestGlobalRelabelRuns:
@@ -237,7 +256,8 @@ class TestGlobalRelabelRuns:
         rng = random.Random(51)  # positive flow on both halves, and it changes
         s, t, events = random_delete_valid_stream(rng, max_vertices=12, max_events=120)
         cut = len(events) // 2
-        # triggers out of reach: the forced run is the only one
+        # the lift trigger out of reach: only the forced run and the runs a
+        # flow cut sets off while the negative field is off relabel
         monkeypatch.setattr(runtime, "check_trigger", never_trigger)
         eng = ThreadedEngine(EngineConfig(source=s, sink=t, workers=3))
         try:
@@ -247,10 +267,11 @@ class TestGlobalRelabelRuns:
             assert eng.query().flow_value == want > 0
             runs = eng.gr.runs
             eng.force_global_relabel()
+            # at quiescence with no topology queued no cut can follow
+            assert eng.gr.runs == runs + 1
             for ev in events[cut:]:
                 eng.ingest(ev)  # lands after the relabel: needs topology and pushes back
             got = eng.query().flow_value
-            assert eng.gr.runs == runs + 1
             want, _ = max_flow_reference(eng.store.snapshot(), s, t)
             assert got == want > 0
             assert eng.scan_invariants() == []
@@ -308,22 +329,42 @@ class TestGlobalRelabelRuns:
 
 class TestCutTrigger:
     """A flow cut (a capacity decrease that forces flow back) lowers the
-    default lift budget to 1 until the next relabel finishes."""
+    default lift budget to 1 until the next relabel finishes while the
+    negative field is on; while it is off, the cut starts a relabel at the
+    next trigger probe."""
 
     @staticmethod
-    def cut_stream_engine(workers):
+    def cut_stream_engine(workers, field_on=False):
         # Flow 5 runs 0 -> 1 -> 2 -> 9; the detour 1 -> 3 -> 9 arrives after
         # that flow has settled. Deleting 2 -> 9 then forces the sink to send
-        # 5 units back, and vertex 2 must lift to return them toward 1.
+        # 5 units back, and vertex 2 must lift to return them toward 1. With
+        # ``field_on`` a chain 0 -> 4 -> 5 -> 9 comes first and loses its
+        # source edge: vertex 4 is left with a deficit, the relabel that cut
+        # sets off switches the negative field on, and nothing after it
+        # relabels before the deletion of 2 -> 9.
         eng = sim(workers=workers)
-        for i, (u, v, c) in enumerate([(0, 1, 5), (1, 2, 5), (2, 9, 5)]):
-            eng.ingest(TopologyEvent(i, u, v, c))
+        ts = 0
+        if field_on:
+            for u, v, c in [(0, 4, 5), (4, 5, 5), (5, 9, 5)]:
+                eng.ingest(TopologyEvent(ts, u, v, c))
+                ts += 1
+            assert eng.query().flow_value == 5
+            eng.ingest(TopologyEvent(ts, 0, 4, -5))
+            ts += 1
+            assert eng.query().flow_value == 0
+            assert eng.gr.runs == 1 and eng._neg_field_on()
+        runs = eng.gr.runs
+        for u, v, c in [(0, 1, 5), (1, 2, 5), (2, 9, 5)]:
+            eng.ingest(TopologyEvent(ts, u, v, c))
+            ts += 1
         assert eng.query().flow_value == 5
-        for i, (u, v, c) in enumerate([(1, 3, 5), (3, 9, 5)]):
-            eng.ingest(TopologyEvent(3 + i, u, v, c))
+        for u, v, c in [(1, 3, 5), (3, 9, 5)]:
+            eng.ingest(TopologyEvent(ts, u, v, c))
+            ts += 1
         assert eng.query().flow_value == 5
-        assert eng.gr.runs == 0 and eng._total_lifts() == 0
-        eng.ingest(TopologyEvent(5, 2, 9, -5))
+        assert eng.gr.runs == runs and eng._total_lifts() == 0
+        assert eng._neg_field_on() == field_on
+        eng.ingest(TopologyEvent(ts, 2, 9, -5))
         return eng
 
     @staticmethod
@@ -335,23 +376,38 @@ class TestCutTrigger:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_first_lift_after_cut_starts_a_relabel(self, workers):
-        eng = self.cut_stream_engine(workers)
+        eng = self.cut_stream_engine(workers, field_on=True)
         while eng._total_lifts() == 0:
             assert eng.pump(max_steps=1) == 1, "the cut never caused a lift"
-            assert eng.gr.runs == 0
+            assert eng.gr.runs == 1
         eng.pump(max_steps=1)  # the next step is preceded by a trigger probe
-        assert eng.gr.runs == 1
-        assert eng._total_cuts() > 0
+        assert eng.gr.runs == 2
+        assert eng._total_cuts() > 1
+        self.assert_settled(eng)
+        assert eng.gr.runs == 2
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_cut_while_the_field_is_off_relabels_at_the_next_probe(self, workers, monkeypatch):
+        monkeypatch.setattr(runtime, "check_trigger", never_trigger)
+        eng = self.cut_stream_engine(workers)
+        while eng._total_cuts() == 0:
+            assert eng.pump(max_steps=1) == 1, "the deletion never cut the flow"
+        assert eng.gr.runs == 0
+        eng.pump(max_steps=1)  # the probe before this step relabels
+        assert eng.gr.runs == 1 and eng._total_lifts() == 0
         self.assert_settled(eng)
         assert eng.gr.runs == 1
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_out_of_reach_triggers_run_no_relabel(self, workers, monkeypatch):
+        # The lift trigger never fires, yet the cut, made while the negative
+        # field is off, relabels once: pump does not return at quiescence
+        # before that relabel has run.
         monkeypatch.setattr(runtime, "check_trigger", never_trigger)
         eng = self.cut_stream_engine(workers)
         self.assert_settled(eng)
         assert eng._total_cuts() > 0 and eng._total_lifts() > 0
-        assert eng.gr.runs == 0
+        assert eng.gr.runs == 1
 
     def test_add_only_stream_makes_no_cut(self):
         eng = sim(source=0, sink=1, workers=2, seed=3)
@@ -362,6 +418,80 @@ class TestCutTrigger:
         eng.query()
         assert eng._total_lifts() > 0 and eng.gr.runs > 0
         assert eng._total_cuts() == 0
+
+
+class TestNegativeField:
+    """The negative height field is on only while a relabel's drain leaves a
+    deficit; while it is off every negative height and mirror is INF."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_add_only_stream_never_switches_the_field_on(self, workers, monkeypatch):
+        route = Worker.route
+        finite = []
+
+        def checked_route(w, out):
+            finite.extend(m for _, m in out if m.hneg != INF)
+            route(w, out)
+
+        monkeypatch.setattr(Worker, "route", checked_route)
+        eng = sim(source=0, sink=1, workers=workers, seed=3)
+        ends = [eng.workers[x % workers].vertices[x] for x in (0, 1)]
+        for i, ev in enumerate(growth_stream(random.Random(61), events=2000, vertices=80)):
+            if i % 250 == 0:
+                eng.query()
+                assert [v.height_neg for v in ends] == [INF, INF]
+            eng.ingest(ev)
+        eng.query()
+        assert [v.height_neg for v in ends] == [INF, INF]
+        assert eng.gr.runs > 0
+        assert finite == []
+        assert eng.scan_invariants() == []
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_own_relabels_with_a_deficit_give_exact_negative_heights(self, workers):
+        # The engine's own relabels, not forced ones: only those meet the
+        # deficits a sliding window's cuts leave behind.
+        eng = sim(source=0, sink=1, workers=workers, seed=3)
+        write_heights = eng._write_heights
+        with_deficit = []
+
+        def checked_write_heights():
+            write_heights()
+            snap = eng._post_descent_state(eng.store.n_projected)
+            hexp, nexp = expected_heights(snap, 0, 1, set(snap.height_pos))
+            assert (snap.height_pos, snap.height_neg) == (hexp, nexp)
+            with_deficit.append(bool(snap.deficits))
+
+        eng._write_heights = checked_write_heights
+        events = list(sliding_window_transform(
+            growth_stream(random.Random(5), 500, 30, st_edge_prob=0.12), 90))
+        for k, ev in enumerate(events):
+            eng.ingest(ev)
+            if k % 25 == 24:
+                want, _ = max_flow_reference(eng.store.snapshot(), 0, 1)
+                assert eng.query().flow_value == want
+        assert len(with_deficit) == eng.gr.runs
+        assert any(with_deficit), "no relabel held a deficit"
+        assert not all(with_deficit), "every relabel held a deficit"
+
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_switching_the_field_off_clears_dead_slots(self, workers):
+        # Relabel-down writes only live slots. A pair that died while the
+        # field was on keeps finite negative values unless the relabel that
+        # switches the field off clears them; ``scan`` checks every slot.
+        eng = sim(source=0, sink=1, workers=workers, seed=0)
+        events = list(sliding_window_transform(
+            growth_stream(random.Random(0), 400, 25, st_edge_prob=0.15), 60))
+        states = []
+        for k, ev in enumerate(events):
+            eng.ingest(ev)
+            if k % 10 == 9:
+                want, _ = max_flow_reference(eng.store.snapshot(), 0, 1)
+                assert eng.query().flow_value == want
+                assert eng.scan_invariants() == []
+                states.append(eng._neg_field_on())
+        assert (True, False) in zip(states, states[1:]), "the field never went off"
 
 
 class TestAddsAmongCutOffVertices:

@@ -84,15 +84,15 @@ CASES = {
     "add-only": dict(
         events=lambda: growth_stream(150, 4000, seed=11),
         workers=1, seed=5, query_every=500,
-        counts={"msg_sent": 67803, "msg_received": 67803, "topo_received": 4046,
-                "lifts": 752, "relabel_runs": 5, "steps": 71849},
+        counts={"msg_sent": 44129, "msg_received": 44129, "topo_received": 4046,
+                "lifts": 753, "relabel_runs": 5, "steps": 48175},
         flows=[10, 30, 55, 78, 88, 103, 121, 147],
     ),
     "window": dict(
         events=lambda: list(sliding_window_transform(growth_stream(100, 1200, seed=12), 300)),
         workers=2, seed=9, query_every=100,
-        counts={"msg_sent": 51880, "msg_received": 51880, "topo_received": 2137,
-                "lifts": 1505, "relabel_runs": 56, "steps": 54017},
+        counts={"msg_sent": 38009, "msg_received": 38009, "topo_received": 2137,
+                "lifts": 1413, "relabel_runs": 50, "steps": 40146},
         flows=[0, 1, 9, 8, 7, 7, 6, 4, 8, 9, 6, 9, 7, 7, 4, 4, 4, 9, 11, 12, 10],
     ),
 }

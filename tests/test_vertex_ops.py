@@ -335,7 +335,8 @@ class TestLiveIndex:
         # message: it writes heights, sent values and mirrors itself. So a
         # relabel forced at quiescence must leave, before any pump, a clean
         # scan (every mirror equal to the counterpart's last sent value,
-        # dead slots included) and the exact residual distances.
+        # dead slots included) and the exact residual distances. A relabel
+        # at quiescence meets no deficit, so its negative heights are INF.
         eng = SimEngine(EngineConfig(source=0, sink=1, workers=workers, deterministic_seed=3))
         deficits = []
         advance = GrState.advance
