@@ -6,27 +6,21 @@ exact residual-graph distance. It is one call, ``runtime.SimEngine._run_gr``,
 made between scheduler batches with topology held, in four steps:
 
 * drain: lifts are disabled and all in-flight messages are processed.
-* relabel-up: every vertex jumps to INF except the fixed points
-  (source, sink, deficit vertices). The negative height field is switched
-  on when the drain left a deficit and off when it left none; while it is
-  off the source and the sink hold INF as their negative height too.
-* relabel-down: breadth-first searches from the fixed points, one level at
-  a time, set every other height to its residual distance (the negative
-  field's searches run only while it is on); sent heights and mirrors are
-  then written directly, with no message.
+* relabel-up: every vertex jumps to INF except the fixed points, the
+  source and the sink. The drain leaves no deficit: ``vertex.shed``
+  cancels each one along its own flow, with no label.
+* relabel-down: breadth-first searches from the sink and then the source,
+  one level at a time, set every other height to its residual distance;
+  sent heights and mirrors are then written directly, with no message.
 * normal: lifts resume and parked excess is discharged.
 
 The trigger is a lift budget, counted since the last relabel: the
 historical maximum vertex count n_max, or 1 lift once a flow cut (a
 capacity decrease that forced a vertex to send flow back) has happened
-since the last relabel. A cut leaves excess and deficits the current
+since the last relabel. The flow a cut returns is excess the current
 heights were never built for, and correcting stale heights one lift at a
 time costs a height broadcast per lift. Counting work rather than elapsed
-time follows Cherkassky & Goldberg (Algorithmica 1997). A cut while the
-negative field is off does not wait for the budget: a deficit it left has
-no negative height to push along, so ``SimEngine.pump`` relabels at its
-next probe, also at quiescence. That rule sits in the engine, not in
-``check_trigger``, which keeps its call shape for observers.
+time follows Cherkassky & Goldberg (Algorithmica 1997).
 """
 
 from __future__ import annotations

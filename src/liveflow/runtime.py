@@ -27,10 +27,11 @@ Replay contract of the deterministic mode: the same seed and the same
 configuration, fed the same events and queries, give the same schedule,
 the same work counts (messages sent and received, topology events, lifts,
 relabel runs, scheduler steps) and the same flow value at every query. The
-relabel's self-checks (no flow moves, heights only descend) observe the run
-without changing it. The scheduler's random draws are therefore part of the
-contract: with two or more workers it draws a worker and then a channel from
-the seeded generator once per quantum; with one worker it never draws.
+relabel's self-checks (no deficit survives the drain, no flow moves, heights
+only descend) observe the run without changing it. The scheduler's random
+draws are therefore part of the contract: with two or more workers it draws
+a worker and then a channel from the seeded generator once per quantum; with
+one worker it never draws.
 """
 
 from __future__ import annotations
@@ -109,9 +110,7 @@ class GrSnapshot:
     heights, before normal execution resumes."""
 
     height_pos: Dict[int, int]
-    height_neg: Dict[int, int]
     residual: Dict[Tuple[int, int], int]   # arcs with positive residual
-    deficits: Set[int]
     n_projected: int
 
 
@@ -440,36 +439,23 @@ class SimEngine:
 
         The relabel trigger is probed before every batch of PROBE_EVERY
         steps, after marking whether a flow cut happened since the last
-        relabel. A cut while the negative field is off may have left a
-        deficit that cannot push, so it starts a relabel at the next probe
-        whatever the lift count, and pump does not return at quiescence
-        before that relabel has run."""
+        relabel (a cut spends a budget of 1 lift, see ``relabel``). A
+        deficit needs no relabel: ``vertex.shed`` cancels it along its own
+        flow in the handler run that made it, or in the one that receives
+        the flow a cut sends back."""
         gr = self.gr
         done = 0
         while max_steps is None or done < max_steps:
             gr.cut_pending = self._total_cuts() > self._cut_baseline
-            if self._cut_unhandled() or (
-                check_trigger(gr, self._steps, self._total_lifts(), self.store.n_max)
-                and not self._queues_empty()
-            ):
+            if (check_trigger(gr, self._steps, self._total_lifts(), self.store.n_max)
+                    and not self._queues_empty()):
                 self._run_gr(capture=False)
             budget = PROBE_EVERY if max_steps is None else min(PROBE_EVERY, max_steps - done)
             ran = self._run_steps(budget)
             done += ran
-            if ran < budget and not self._cut_unhandled():
+            if ran < budget:
                 break
         return done
-
-    def _neg_field_on(self) -> bool:
-        """Whether the negative height field is on: the source's negative
-        height is 0 while it is on and INF while it is off."""
-        s = self.source
-        return self.workers[s % self.nworkers].vertices[s].height_neg == 0
-
-    def _cut_unhandled(self) -> bool:
-        """A flow cut happened since the last relabel while the negative
-        field is off, so a deficit it left cannot push."""
-        return self._total_cuts() > self._cut_baseline and not self._neg_field_on()
 
     def query(self, trigger_ts: Optional[int] = None) -> QueryResult:
         started = time.perf_counter()
@@ -487,14 +473,12 @@ class SimEngine:
     def _run_gr(self, capture: bool = False) -> Optional[GrSnapshot]:
         """One global relabel, start to finish. Only its drain runs the
         scheduler, with topology events held (``_run_steps(topo=False)``).
-        After the drain it decides the negative field's state: on exactly
-        when some vertex holds a deficit. While the field is off the
-        negative searches are skipped and every negative height, sent value
-        and mirror is INF.
         Workers and vertices go in stored order, so the schedule replays;
-        ``gr.advance`` marks each step for observers. Two self-checks raise
-        ``RuntimeError``: no excess moves (``held``), and no height ends above
-        where relabel-up put it (``fixed`` for the fixed points, INF for
+        ``gr.advance`` marks each step for observers. Three self-checks
+        raise ``RuntimeError``: no deficit survives the drain (every handler
+        run sheds its own, once the flow a cut returns has arrived), no
+        excess moves (``held``), and no height ends above where relabel-up
+        put it (the source and the sink keep their fixed points, INF bounds
         every other vertex)."""
         gr = self.gr
         np_ = self.store.n_projected
@@ -505,43 +489,27 @@ class SimEngine:
             w.ctx.lift_enabled = False
         self._run_steps(None, topo=False)
 
-        # Relabel-up: every vertex but the fixed points jumps to INF. The
-        # negative field is on exactly when the drain left a deficit. When
-        # it goes off, every slot's negative sent value and mirror goes to
-        # INF too: relabel-down writes only ``live`` slots, and a dead slot
-        # that keeps a finite value could carry it into the graph once its
-        # pair is added again.
+        # Relabel-up: every vertex but the source and the sink jumps to INF.
         gr.advance(PHASE_RELABEL_UP)
         held: Dict[int, int] = {}
         for vid, v in self.vertices_items():
             if v.excess:
+                if v.excess < 0:
+                    raise RuntimeError(f"deficit {v.excess} left after the drain at vertex {vid}")
                 held[vid] = v.excess
-        neg = any(e < 0 for e in held.values())
-        clear = not neg and self._neg_field_on()
-        fixed = []
-        for _, v in self.vertices_items():
-            vx.relabel_up(v, np_, neg)
-            if clear:
-                v.sent_hneg = [vx.INF] * len(v.nbr_ids)
-                v.mirror_hneg = [vx.INF] * len(v.nbr_ids)
-            if v.vtype != vx.NORMAL or v.excess < 0:
-                fixed.append((v, v.height_pos, v.height_neg))
+            vx.relabel_up(v, np_)
 
-        # Relabel-down: tiered breadth-first searches from the fixed points
-        # (source, sink, deficits) give every other vertex its residual
-        # distance, then the heights are written where a broadcast would.
-        # With the negative field off every negative height stays INF.
+        # Relabel-down: tiered breadth-first searches from the sink and then
+        # the source give every other vertex its residual distance, then the
+        # heights are written where a broadcast would.
         gr.advance(PHASE_RELABEL_DOWN)
         source, sink = (self.workers[x % self.nworkers].vertices[x]
                         for x in (self.source, self.sink))
-        self._levels([v for v, hp, _ in fixed if hp == 0], 0, "height_pos", "res_in")
-        self._levels([source], np_, "height_pos", "res_in")
-        if neg:
-            self._levels([source], 0, "height_neg", "res_out")
-            self._levels([sink], np_, "height_neg", "res_out")
+        self._levels([sink], 0)
+        self._levels([source], np_)
         self._write_heights()
-        for v, hp, hn in fixed:
-            if v.height_pos > hp or v.height_neg > hn:
+        for v, fixed in ((source, np_), (sink, 0)):
+            if v.height_pos != fixed:
                 raise RuntimeError(f"non-monotone descent at vertex {v.vid}")
 
         snap = self._post_descent_state(np_) if capture else None
@@ -557,7 +525,7 @@ class SimEngine:
             ctx.lift_enabled = True
             out = []
             for vid, v in w.vertices.items():
-                if v.height_pos > vx.INF or v.height_neg > vx.INF:
+                if v.height_pos > vx.INF:
                     raise RuntimeError(f"non-monotone descent at vertex {vid}")
                 if v.excess != 0:
                     if held.pop(vid, 0) != v.excess:
@@ -569,59 +537,50 @@ class SimEngine:
             raise RuntimeError(f"flow moved during relabel at vertex {next(iter(held))}")
         return snap
 
-    def _levels(self, frontier: list, level: int, field: str, res: str) -> None:
+    def _levels(self, frontier: list, level: int) -> None:
         """Breadth-first search, one level per superstep: each vertex still
-        at INF in height ``field`` that the frontier reaches takes the next
-        level and joins the next frontier. A vertex x reaches the neighbour
-        on slot i when ``x.<res>[i] > 0``; x's slots are read only while x
-        is expanded, and the neighbour is found in its owner's table."""
+        at INF that the frontier reaches takes the next level as its height
+        and joins the next frontier. A vertex x reaches the neighbour on
+        slot i when ``x.res_in[i] > 0``; x's slots are read only while x is
+        expanded, and the neighbour is found in its owner's table."""
         workers, n, INF = self.workers, self.nworkers, vx.INF
         while frontier:
             level += 1
             reached = []
             for x in frontier:
-                r, ids = getattr(x, res), x.nbr_ids
+                r, ids = x.res_in, x.nbr_ids
                 for i in x.live:
                     if r[i] > 0:
                         w = workers[ids[i] % n].vertices[ids[i]]
-                        if getattr(w, field) == INF:
-                            setattr(w, field, level)
+                        if w.height_pos == INF:
+                            w.height_pos = level
                             reached.append(w)
             frontier = reached
 
     def _write_heights(self) -> None:
-        """Leave what a broadcast of every vertex's new heights would: per
-        ``live`` slot i toward w, the positive height where ``res_in[i] > 0``
-        and the negative height where ``res_out[i] > 0``, else INF, become
-        the slot's sent value and w's mirror of it. Unlisted slots keep
-        theirs, which already match."""
+        """Leave what a broadcast of every vertex's new height would: per
+        ``live`` slot i toward w, the height where ``res_in[i] > 0``, else
+        INF, becomes the slot's sent value and w's mirror of it. Unlisted
+        slots keep theirs, which already match."""
         workers, n, INF = self.workers, self.nworkers, vx.INF
         for vid, v in self.vertices_items():
             hp = v.last_bcast_pos = v.height_pos
-            hn = v.last_bcast_neg = v.height_neg
-            ids, res_in, res_out = v.nbr_ids, v.res_in, v.res_out
+            ids, res_in = v.nbr_ids, v.res_in
             for i in v.live:
                 w = workers[ids[i] % n].vertices[ids[i]]
-                j = w.nbr_index[vid]
-                v.sent_hpos[i] = w.mirror_hpos[j] = hp if res_in[i] > 0 else INF
-                v.sent_hneg[i] = w.mirror_hneg[j] = hn if res_out[i] > 0 else INF
+                v.sent_hpos[i] = w.mirror_hpos[w.nbr_index[vid]] = hp if res_in[i] > 0 else INF
 
     def _post_descent_state(self, n_projected: int) -> GrSnapshot:
         hpos: Dict[int, int] = {}
-        hneg: Dict[int, int] = {}
         residual: Dict[Tuple[int, int], int] = {}
-        deficits: Set[int] = set()
         for vid, v in self.vertices_items():
             hpos[vid] = v.height_pos
-            hneg[vid] = v.height_neg
-            if v.excess < 0:
-                deficits.add(vid)
             ids = v.nbr_ids
             res_out = v.res_out
             for i in v.live:
                 if res_out[i] > 0:
                     residual[(vid, ids[i])] = res_out[i]
-        return GrSnapshot(hpos, hneg, residual, deficits, n_projected)
+        return GrSnapshot(hpos, residual, n_projected)
 
 
 class ThreadedEngine(SimEngine):

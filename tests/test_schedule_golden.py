@@ -91,8 +91,8 @@ CASES = {
     "window": dict(
         events=lambda: list(sliding_window_transform(growth_stream(100, 1200, seed=12), 300)),
         workers=2, seed=9, query_every=100,
-        counts={"msg_sent": 38009, "msg_received": 38009, "topo_received": 2137,
-                "lifts": 1413, "relabel_runs": 50, "steps": 40146},
+        counts={"msg_sent": 20942, "msg_received": 20942, "topo_received": 2137,
+                "lifts": 908, "relabel_runs": 29, "steps": 23079},
         flows=[0, 1, 9, 8, 7, 7, 6, 4, 8, 9, 6, 9, 7, 7, 4, 4, 4, 9, 11, 12, 10],
     ),
 }

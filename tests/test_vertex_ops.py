@@ -6,7 +6,6 @@ import pytest
 
 from helpers import expected_heights, growth_stream
 from liveflow import TopologyEvent, max_flow_reference, sliding_window_transform
-from liveflow.relabel import PHASE_RELABEL_DOWN, GrState
 from liveflow.runtime import EngineConfig, SimEngine
 from liveflow.vertex import (
     CAP_OFFSET,
@@ -25,25 +24,24 @@ from liveflow.vertex import (
     on_message_received,
     push,
     restore_height_invariant,
+    shed,
 )
 
 
-def make_vertex(vid=1, vtype=NORMAL, excess=0, hpos=0, hneg=0):
+def make_vertex(vid=1, vtype=NORMAL, excess=0, hpos=0):
     v = VertexState(vid, vtype)
     v.excess = excess
     v.height_pos = hpos
-    v.height_neg = hneg
     v.last_bcast_pos = hpos
-    v.last_bcast_neg = hneg
     return v
 
 
-def wire(v, w, res_out=0, res_in=0, mhpos=0, mhneg=0):
+def wire(v, w, res_out=0, res_in=0, mhpos=0, cap_out=0):
     i = add_neighbour(v, w)
     v.res_out[i] = res_out
     v.res_in[i] = res_in
     v.mirror_hpos[i] = mhpos
-    v.mirror_hneg[i] = mhneg
+    v.cap_out[i] = cap_out
     return i
 
 
@@ -67,15 +65,6 @@ class TestPush:
         out = []
         assert push(v, i, out) == 0
         assert out == [] and v.res_out[i] == 3
-
-    def test_negative_push_through_inbound_residual(self):
-        v = make_vertex(excess=-4, hneg=1)
-        i = wire(v, 7, res_out=0, res_in=10, mhneg=0)
-        out = []
-        moved = push(v, i, out)
-        assert moved == -4
-        assert (v.excess, v.res_out[i], v.res_in[i]) == (0, 4, 6)
-        assert flows(out) == [(7, -4)]
 
     def test_uphill_push_blocked(self):
         v = make_vertex(excess=5, hpos=1)
@@ -148,8 +137,10 @@ class TestDischarge:
         assert out == []
 
     def test_stranded_deficit_rests(self):
-        v = make_vertex(excess=-3, hpos=0, hneg=INF)
-        wire(v, 7, res_in=5, mhneg=0)
+        # The only flow out runs on a cut arc whose return is in flight: the
+        # deficit waits for it instead of cancelling that flow from this end.
+        v = make_vertex(excess=-3, hpos=2)
+        wire(v, 7, res_out=-3, res_in=3, mhpos=1, cap_out=0)
         out = []
         discharge(v, OpContext(), out)
         assert v.excess == -3
@@ -194,22 +185,63 @@ class TestRestoreHeightInvariant:
         assert v.res_out[i] == 0
 
     def test_no_residual_means_no_constraint(self):
-        v = make_vertex(excess=0, hpos=9, hneg=9)
-        i = wire(v, 7, res_out=0, res_in=0, mhpos=1, mhneg=1)
+        v = make_vertex(excess=0, hpos=9)
+        i = wire(v, 7, res_out=0, res_in=2, mhpos=1)
         restore_height_invariant(v, i, [])
         assert v.height_pos == 9
-        assert v.height_neg == 9
 
-    def test_negative_height_clamp(self):
-        v = make_vertex(excess=0, hpos=0, hneg=9)
-        i = wire(v, 7, res_in=2, mhneg=3)
-        restore_height_invariant(v, i, [])
-        assert v.height_neg == 4
+
+class TestShed:
+    """A normal vertex cancels its deficit along the flow it sends out, in
+    ``live`` order, with no label."""
+
+    def test_cancels_in_live_order_and_caps_the_height(self):
+        v = make_vertex(excess=-5, hpos=9)
+        a = wire(v, 7, res_out=1, res_in=3, mhpos=6, cap_out=4)   # flow 3
+        b = wire(v, 8, res_out=2, res_in=0, mhpos=0, cap_out=2)   # no flow
+        c = wire(v, 9, res_out=0, res_in=4, mhpos=2, cap_out=4)   # flow 4
+        d = wire(v, 10, res_out=0, res_in=2, mhpos=0, cap_out=2)  # flow 2
+        out = []
+        shed(v, out)
+        assert flows(out) == [(7, -3), (9, -2)]
+        assert v.excess == 0
+        assert [(v.res_out[i], v.res_in[i]) for i in (a, b, c, d)] == [
+            (4, 0), (2, 0), (2, 2), (0, 2)]
+        # Both cancelled arcs reopened: the height sits at most one above
+        # each of their mirrors.
+        assert v.height_pos == 3
+
+    def test_skips_a_slot_whose_return_is_in_flight(self):
+        v = make_vertex(excess=-4, hpos=5)
+        cut = wire(v, 7, res_out=-2, res_in=2, mhpos=0, cap_out=1)  # cut below its flow 3
+        other = wire(v, 8, res_out=0, res_in=3, mhpos=4, cap_out=3)
+        out = []
+        shed(v, out)
+        assert flows(out) == [(8, -3)]
+        assert v.excess == -1
+        assert (v.res_out[cut], v.res_in[cut]) == (-2, 2)
+        assert (v.res_out[other], v.res_in[other]) == (3, 0)
+        assert v.height_pos == 5
+
+    def test_deficit_beyond_the_outflow_raises(self):
+        # The ledger says more flow left than the arcs carry: a broken
+        # invariant, which must fail loudly instead of waiting forever.
+        v = make_vertex(excess=-3, hpos=1)
+        wire(v, 7, res_out=0, res_in=3, mhpos=0, cap_out=0)
+        with pytest.raises(InvariantViolation):
+            shed(v, [])
+
+    def test_the_source_waits_for_its_returned_flow(self):
+        s = make_vertex(vtype=SOURCE, excess=-2, hpos=12)
+        wire(s, 7, res_out=-2, res_in=5, mhpos=1, cap_out=3)
+        out = []
+        discharge(s, OpContext(), out)
+        assert s.excess == -2 and out == []
 
 
 class TestBroadcast:
     def test_unchanged_heights_send_nothing(self):
-        v = make_vertex(hpos=4, hneg=2)
+        v = make_vertex(hpos=4)
         wire(v, 7, res_out=1, res_in=1)
         out = []
         broadcast_height_if_needed(v, out)
@@ -226,21 +258,23 @@ class TestBroadcast:
         assert all(m.amount == 0 and m.hpos == 5 for _, m in out)
 
     def test_suppression_invalidates_unneeded_height(self):
-        # the neighbour holds no residual toward us, so our positive height
-        # is not usable there; it is sent as the INF sentinel instead
-        v = make_vertex(hpos=0, hneg=3)
-        i = wire(v, 7, res_out=2, res_in=0)
+        # The neighbour holds no residual toward us, so our height is not
+        # usable there: a capacity offset carries the INF sentinel instead,
+        # and a later height change sends nothing to that slot.
+        v = make_vertex(hpos=3)
+        i = wire(v, 7, res_out=0, res_in=0, mhpos=4)
+        v.sent_hpos[i] = 3  # sent while the arc toward us was open
+        out = []
+        on_edge_changed(v, 7, 2, out, 0)
+        assert [(m.kind, m.hpos) for _, m in out] == [(CAP_OFFSET, INF)]
+        assert v.sent_hpos[i] == INF
         v.height_pos = 5
         out = []
         broadcast_height_if_needed(v, out)
-        assert len(out) == 1
-        _, m = out[0]
-        assert m.hpos == INF and m.hpos != v.height_pos
-        assert m.hneg == 3
-        assert v.sent_hpos[i] == INF
+        assert out == []
 
     def test_dirty_slot_resends_after_residual_reopens(self):
-        v = make_vertex(hpos=4, hneg=2)
+        v = make_vertex(hpos=4)
         i = wire(v, 7, res_out=0, res_in=0)
         out = []
         broadcast_height_if_needed(v, out, dirty=i)
@@ -327,27 +361,13 @@ class TestLiveIndex:
         assert eng.scan_invariants() == []
 
     @pytest.mark.parametrize("workers", [2, 3])
-    def test_relabel_at_quiescence_writes_exact_heights_and_matching_mirrors(
-        self, workers, monkeypatch
-    ):
-        # A sliding window leaves dead slots, and its flow cuts leave
-        # deficits that the stream's own relabels see. Relabel-down sends no
-        # message: it writes heights, sent values and mirrors itself. So a
-        # relabel forced at quiescence must leave, before any pump, a clean
-        # scan (every mirror equal to the counterpart's last sent value,
-        # dead slots included) and the exact residual distances. A relabel
-        # at quiescence meets no deficit, so its negative heights are INF.
+    def test_relabel_at_quiescence_writes_exact_heights_and_matching_mirrors(self, workers):
+        # A sliding window leaves dead slots and cuts flow. Relabel-down
+        # sends no message: it writes heights, sent values and mirrors
+        # itself. So a relabel forced at quiescence must leave, before any
+        # pump, a clean scan (every mirror equal to the counterpart's last
+        # sent value, dead slots included) and the exact residual distances.
         eng = SimEngine(EngineConfig(source=0, sink=1, workers=workers, deterministic_seed=3))
-        deficits = []
-        advance = GrState.advance
-
-        def observe_advance(gr, phase):
-            advance(gr, phase)
-            if phase == PHASE_RELABEL_DOWN:
-                deficits.extend(vid for vid, v in eng.vertices_items()
-                                if v.vtype == NORMAL and v.excess < 0)
-
-        monkeypatch.setattr(GrState, "advance", observe_advance)
         events = list(sliding_window_transform(
             growth_stream(random.Random(5), 500, 30, st_edge_prob=0.12), 90))
         dead = 0
@@ -359,8 +379,7 @@ class TestLiveIndex:
                 dead += sum(len(v.nbr_ids) - len(v.live) for _, v in eng.vertices_items())
                 snap = eng.force_global_relabel(capture=True)
                 assert eng.scan_invariants() == []
-                hexp, nexp = expected_heights(snap, 0, 1, set(snap.height_pos))
-                assert (snap.height_pos, snap.height_neg) == (hexp, nexp)
+                assert snap.height_pos == expected_heights(snap, 0, 1, set(snap.height_pos))
                 assert eng.query().flow_value == want
         assert dead, "no pair died before a forced relabel"
-        assert deficits, "no relabel saw a deficit vertex"
+        assert eng._total_cuts(), "the window never cut a flow"
