@@ -37,7 +37,10 @@ stability values and ``work_counters`` differ on some stream (or that all
 three match). Host drift between separate processes is then shared by both
 sides. Only the drive (ingest plus queries) is timed: parsing, windowing
 and engine creation run untimed, so a set-up gain shows only in the
-``setup_s`` metric of the subprocess pairs. The exit status is 1 when the
+``setup_s`` metric of the subprocess pairs. The run ends with each side's
+``work_counters`` summed over every stream it drove, so a change that moves
+the schedule on purpose reads its old and new counts and the ``flows``
+verdict from one run. The exit status is 1 when the
 flows, the stability values or ``work_counters`` differ on some stream,
 else 0.
 
@@ -60,6 +63,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+from collections import Counter
 from typing import Dict, List
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -179,6 +183,7 @@ def interleave(base_dir: str, workload: str, seed: int, rounds: int) -> bool:
     wl = harness.WORKLOADS[workload]
     ratios: List[float] = []
     lat: Dict[str, List[float]] = {"base": [], "change": []}
+    totals: Dict[str, Counter] = {"base": Counter(), "change": Counter()}
     ever_differ = set()
     for r in range(rounds):
         eps: Dict[str, list] = {"base": [], "change": []}
@@ -196,6 +201,8 @@ def interleave(base_dir: str, workload: str, seed: int, rounds: int) -> bool:
             round_lat = [x for ep in eps[side] for x in ep.latencies_ms]
             lat[side] += round_lat
             p50[side] = statistics.median(round_lat)
+            for ep in eps[side]:
+                totals[side].update(ep.counters)
         differ = differing(eps["base"], eps["change"])
         ever_differ.update(differ)
         print(f"round {r + 1}/{rounds}: drive change/base {ratio:.3f}, "
@@ -208,6 +215,8 @@ def interleave(base_dir: str, workload: str, seed: int, rounds: int) -> bool:
           f"{statistics.median(lat['base']):.3f} ms change "
           f"{statistics.median(lat['change']):.3f} ms; "
           f"{match_text([n for n in COMPARED if n in ever_differ], 'match on every stream')}")
+    print(f"work counts: the {rounds * STREAMS_PER_ROUND} streams driven, summed")
+    report_counts(totals)
     return not ever_differ
 
 

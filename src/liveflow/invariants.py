@@ -20,7 +20,8 @@ Checked per vertex and per neighbour slot:
 * the height invariant holds along every positive residual arc;
 * mirrored heights match the counterpart's true height wherever the
   counterpart holds residual capacity toward it, and match the
-  counterpart's last transmitted value unconditionally;
+  counterpart's last transmitted value unconditionally (INF for a slot
+  that has never sent one, the value a new mirror starts at);
 * normal excess sums to zero (conservation).
 """
 

@@ -90,6 +90,8 @@ class EngineConfig:
     deterministic_seed: Optional[int] = None
 
     def validate(self) -> None:
+        if self.source < 0 or self.sink < 0:
+            raise ValueError("source and sink must be non-negative")
         if self.source == self.sink:
             raise ValueError("source and sink must differ")
         if self.workers < 1:
@@ -228,9 +230,10 @@ class Worker:
         out: list = []
         if item[0] == TOPO_NEWMAX:
             vx.on_new_max_vertex_count(v, item[2])
+            dirty = -1
         else:
-            vx.on_edge_changed(v, item[2], item[3], out, self.engine.source)
-        vx.finish_vertex(v, ctx, out)
+            dirty = vx.on_edge_changed(v, item[2], item[3], out, self.engine.source)
+        vx.finish_vertex(v, ctx, out, dirty)
         self.route(out)
         self.topo_received += 1
 
@@ -242,8 +245,8 @@ class Worker:
             v = self.get_vertex(dst)
         ctx = self.ctx
         out: list = []
-        vx.on_message_received(v, m, ctx, out)
-        vx.finish_vertex(v, ctx, out)
+        i = vx.on_message_received(v, m, ctx, out)
+        vx.finish_vertex(v, ctx, out, i)
         self.route(out)
         self.msg_received += 1
 

@@ -32,12 +32,12 @@ Conventions used throughout:
 * Heights use the sentinel ``INF``, strictly above any reachable label.
   New normal vertices start at INF so they cannot attract flow before a
   real route to the sink is learned; they descend naturally while
-  restoring the height invariant with neighbours. A new arc's mirror
-  starts at INF too, until the head's reply to the introduction message
-  brings its real height. A mirror of 0 would stand for a height never
-  seen, which is no valid lower bound: the tail would drop to height 1 (or
-  push toward a head with no route) and the error would spread through
-  lifts until a global relabel repairs it.
+  restoring the height invariant with neighbours. A new slot's mirror and
+  sent height start at INF too, until the normal broadcast sends the real
+  height once the residual toward its sender opens. A mirror of 0 would
+  stand for a height never seen, which is no valid lower bound: the tail
+  would drop to height 1 (or push toward a head with no route) and the
+  error would spread through lifts until a global relabel repairs it.
 * Every outbound message carries the sender's height subject to a
   suppression rule: it is attached only when the counterpart holds
   residual capacity toward us (``res_in[i] > 0``). ``sent_hpos`` records
@@ -61,7 +61,6 @@ from typing import List
 
 __all__ = [
     "INF",
-    "UNSENT",
     "SOURCE",
     "SINK",
     "NORMAL",
@@ -85,7 +84,6 @@ __all__ = [
 ]
 
 INF = 1 << 60     # height infinity: above any reachable label
-UNSENT = -1       # "never transmitted" marker for sent-height tracking
 
 SOURCE, SINK, NORMAL = 0, 1, 2
 FLOW, CAP_OFFSET = 0, 1
@@ -158,7 +156,6 @@ class VertexState:
         "nbr_index",
         "live",
         "last_bcast_pos",
-        "pending_dirty",
     )
 
     def __init__(self, vid: int, vtype: int):
@@ -176,7 +173,6 @@ class VertexState:
         self.nbr_index: dict = {}
         self.live: List[int] = []
         self.last_bcast_pos = self.height_pos
-        self.pending_dirty = -1   # the slot the current handler run touched, or -1
 
     def __repr__(self):  # pragma: no cover - debugging aid
         t = {SOURCE: "S", SINK: "T", NORMAL: "N"}[self.vtype]
@@ -184,14 +180,14 @@ class VertexState:
 
 
 def add_neighbour(v: VertexState, w: int) -> int:
-    """Materialize w in v's tables with zeroed residuals and an INF mirror:
-    w's height is unknown until its first message arrives."""
+    """Materialize w in v's tables with zeroed residuals and an INF mirror
+    and sent height: neither side has sent the other a height yet."""
     i = len(v.nbr_ids)
     v.nbr_ids.append(w)
     v.res_out.append(0)
     v.res_in.append(0)
     v.mirror_hpos.append(INF)
-    v.sent_hpos.append(UNSENT)
+    v.sent_hpos.append(INF)
     v.cap_out.append(0)
     v.nbr_index[w] = i
     v.live.append(i)
@@ -388,8 +384,9 @@ def on_edge_changed(v: VertexState, w: int, delta: int, out: list, source_id: in
     """Apply a capacity change on the outgoing edge (v, w).
 
     Loops, edges into the source, and edges out of the sink have no effect
-    on the flow and are ignored. Returns the neighbour slot touched, or -1
-    when ignored. The trailing discharge/broadcast is left to
+    on the flow and are ignored; a new pair reaches the head as the
+    capacity offset alone. Returns the neighbour slot touched, or -1 when
+    ignored. The trailing discharge/broadcast is left to
     :func:`finish_vertex`, which closes the handler run.
     """
     if v.vid == w or w == source_id or v.vtype == SINK:
@@ -397,7 +394,6 @@ def on_edge_changed(v: VertexState, w: int, delta: int, out: list, source_id: in
     i = v.nbr_index.get(w, -1)
     if i < 0:
         i = add_neighbour(v, w)
-        _send(v, i, FLOW, 0, out)  # introduce ourselves to the new neighbour
     v.res_out[i] += delta
     v.cap_out[i] += delta
     _relist(v, i)
@@ -406,7 +402,6 @@ def on_edge_changed(v: VertexState, w: int, delta: int, out: list, source_id: in
         v.excess += delta
     _send(v, i, CAP_OFFSET, delta, out)
     restore_height_invariant(v, i, out)
-    v.pending_dirty = i
     return i
 
 
@@ -417,12 +412,13 @@ def on_message_received(v: VertexState, m: Msg, ctx: OpContext, out: list) -> in
     slot's place in ``live``, then restore the height invariant
     (:func:`restore_height_invariant`, written inline here). The drain, and
     :func:`shed` for a deficit, are left to :func:`finish_vertex`, which
-    closes the handler run. Returns the sender's slot."""
+    closes the handler run. Returns the sender's slot. An unknown sender
+    gets a slot and no reply: only a capacity offset can come from one, and
+    the closing broadcast sends our height once ``res_in > 0``."""
     sender = m.sender
     i = v.nbr_index.get(sender, -1)
     if i < 0:
         i = add_neighbour(v, sender)
-        _send(v, i, FLOW, 0, out)  # reply so the sender learns our heights
     hpos = m.hpos
     v.mirror_hpos[i] = hpos
 
@@ -451,19 +447,16 @@ def on_message_received(v: VertexState, m: Msg, ctx: OpContext, out: list) -> in
         push(v, i, out)
     if v.vtype == NORMAL and v.res_out[i] > 0 and v.height_pos > hpos + 1:
         v.height_pos = hpos + 1
-
-    v.pending_dirty = i
     return i
 
 
-def finish_vertex(v: VertexState, ctx: OpContext, out: list) -> None:
+def finish_vertex(v: VertexState, ctx: OpContext, out: list, dirty: int = -1) -> None:
     """Close a handler run: discharge once (shedding a deficit), then send
-    a changed height (a full scan when it changed, else a re-check of the
-    slot the run's edge or message handler touched)."""
+    a changed height (a full scan when it changed, else a re-check of
+    ``dirty``, the slot the run's edge or message handler returned)."""
     if v.excess:
         discharge(v, ctx, out)
-    broadcast_height_if_needed(v, out, v.pending_dirty)
-    v.pending_dirty = -1
+    broadcast_height_if_needed(v, out, dirty)
 
 
 def relabel_up(v: VertexState, n_projected: int) -> None:

@@ -51,3 +51,27 @@ def test_bad_arguments_exit_2_before_the_base_is_exported(tmp_path, args, messag
     assert proc.returncode == 2, proc.stderr
     assert message in proc.stderr
     assert list(tmp_path.glob("ab_bench-*")) == []
+
+
+def test_interleave_ends_with_equal_summed_counts_against_head(tmp_path):
+    if subprocess.run(["git", "-C", ROOT, "rev-parse", "--verify", "HEAD"],
+                      capture_output=True).returncode != 0:
+        pytest.skip("needs a git checkout with a commit")
+    if subprocess.run(["git", "-C", ROOT, "diff", "--quiet", "HEAD", "--", "src"]).returncode:
+        pytest.skip("src/ differs from HEAD, so the two sides' counts may differ")
+    env = dict(os.environ, TMPDIR=str(tmp_path))
+    proc = subprocess.run(
+        [sys.executable, SCRIPT, "--base", "HEAD", "--interleave", "1",
+         "--workload", "growth"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    lines = proc.stdout.splitlines()
+    head = lines.index("work counts: the 4 streams driven, summed")
+    assert lines[head + 1].split() == ["work", "count", "base", "change", "change/base"]
+    rows = {row.split()[0]: row.split()[1:] for row in lines[head + 2:]}
+    assert set(rows) == {"msg_sent", "msg_received", "topo_received", "lifts",
+                         "relabel_runs", "sched_steps"}
+    for name, (base, change, _) in rows.items():
+        assert base == change, name
+    assert int(rows["msg_sent"][0]) > 0
+    assert proc.returncode == 0, proc.stdout + proc.stderr

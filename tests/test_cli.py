@@ -121,6 +121,9 @@ class TestRunCli:
         "bad, message",
         [
             pytest.param(dict(engine=dict(sink=0)), "source and sink must differ", id="sink"),
+            pytest.param(
+                dict(engine=dict(source=-1)), "source and sink must be non-negative", id="negative_source"
+            ),
             pytest.param(dict(engine=dict(workers=0)), "need at least one worker", id="workers"),
             pytest.param(dict(window=0), "window size must be positive", id="window"),
             pytest.param(dict(offered_rate=0), "offered rate must be positive", id="offered_rate"),

@@ -24,7 +24,7 @@ from liveflow.runtime import (
     ThreadedEngine,
     create_engine,
 )
-from liveflow.vertex import FLOW, INF, NORMAL, Msg
+from liveflow.vertex import FLOW, NORMAL, Msg
 
 
 def sim(source=0, sink=9, workers=1, seed=1, **kw):
@@ -119,11 +119,25 @@ class TestRouting:
         assert w.msg_received - before == 1
         assert [m.hpos for d, m in w.chans[0] if d == target] == list(range(1, 6))
         eng.pump()
-        # six injected messages in send order, then the greeting reply
-        assert arrived[:6] == list(range(6))
+        # the six injected messages in send order, and nothing after them:
+        # a new sender gets no reply, so nothing comes back from 50
+        assert arrived == list(range(6))
         v = w.vertices[target]
-        # last write wins: the reply carries a suppressed (INF) height
-        assert v.mirror_hpos[v.nbr_index[50]] == INF
+        # last write wins
+        assert v.mirror_hpos[v.nbr_index[50]] == 5
+
+    def test_new_pair_costs_one_message(self):
+        # The capacity offset alone introduces the pair: no greeting from
+        # the tail and no reply from the head, whose INF height needs no
+        # broadcast.
+        eng = sim(workers=1, seed=1)
+        eng.ingest(TopologyEvent(0, 3, 4, 5))
+        eng.pump()
+        w = eng.workers[0]
+        assert (w.msg_sent, w.msg_received) == (1, 1)
+        assert eng.scan_invariants() == []
+        head = w.vertices[4]
+        assert head.nbr_ids == [3] and head.res_in == [5]
 
     def test_message_to_unseen_vertex_materializes_it(self):
         eng = sim(workers=3, seed=2)

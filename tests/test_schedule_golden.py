@@ -84,15 +84,15 @@ CASES = {
     "add-only": dict(
         events=lambda: growth_stream(150, 4000, seed=11),
         workers=1, seed=5, query_every=500,
-        counts={"msg_sent": 44129, "msg_received": 44129, "topo_received": 4046,
-                "lifts": 753, "relabel_runs": 5, "steps": 48175},
+        counts={"msg_sent": 37407, "msg_received": 37407, "topo_received": 4046,
+                "lifts": 752, "relabel_runs": 5, "steps": 41453},
         flows=[10, 30, 55, 78, 88, 103, 121, 147],
     ),
     "window": dict(
         events=lambda: list(sliding_window_transform(growth_stream(100, 1200, seed=12), 300)),
         workers=2, seed=9, query_every=100,
-        counts={"msg_sent": 20942, "msg_received": 20942, "topo_received": 2137,
-                "lifts": 908, "relabel_runs": 29, "steps": 23079},
+        counts={"msg_sent": 18616, "msg_received": 18616, "topo_received": 2137,
+                "lifts": 799, "relabel_runs": 29, "steps": 20753},
         flows=[0, 1, 9, 8, 7, 7, 6, 4, 8, 9, 6, 9, 7, 7, 4, 4, 4, 9, 11, 12, 10],
     ),
 }
