@@ -21,10 +21,12 @@ side. Only the standard library and the local git are used.
 Beside the wall times, the report gives each side's work counts on one
 fixed stream set: ``harness.run_episode`` on episodes 0..COUNT_EPISODES-1
 of the run seed, run once in each side's own tree, with the engine's
-``work_counters`` summed over the streams and every query checked against
-the reference. On a seeded workload these counts repeat exactly, so they
-show whether a change moved the algorithm's work independent of host
-drift; on a threaded workload they vary from run to run.
+``work_counters`` summed over the streams, every query checked against
+the reference, and ``invariant_errors`` the number of errors the
+invariant scan after each stream reported. On a seeded workload these
+counts repeat exactly, so they show whether a change moved the
+algorithm's work independent of host drift; on a threaded workload they
+vary from run to run.
 
 With ``--interleave ROUNDS`` the script runs no subprocess pairs. It
 imports both trees' ``liveflow`` into this one process, as the packages
@@ -37,10 +39,12 @@ stability values and ``work_counters`` differ on some stream (or that all
 three match). Host drift between separate processes is then shared by both
 sides. Only the drive (ingest plus queries) is timed: parsing, windowing
 and engine creation run untimed, so a set-up gain shows only in the
-``setup_s`` metric of the subprocess pairs. The run ends with each side's
-``work_counters`` summed over every stream it drove, so a change that moves
-the schedule on purpose reads its old and new counts and the ``flows``
-verdict from one run. The exit status is 1 when the
+``setup_s`` metric of the subprocess pairs. After each timed drive the
+engine's invariants are scanned, untimed. The run ends with each side's
+``work_counters`` summed over every stream it drove, and the number of scan
+errors as ``invariant_errors``, so a change that moves the schedule on
+purpose reads its old and new counts, the ``flows`` verdict and whether
+both sides' scans are clean from one run. The exit status is 1 when the
 flows, the stability values or ``work_counters`` differ on some stream,
 else 0.
 
@@ -81,12 +85,13 @@ import harness, liveflow
 if not os.path.realpath(liveflow.__file__).startswith(os.path.realpath("src") + os.sep):
     sys.exit(f"liveflow imported from {liveflow.__file__}, not from this tree")
 wl = harness.WORKLOADS[sys.argv[1]]
-totals = {"queries": 0, "failed": 0}
+totals = {"queries": 0, "failed": 0, "invariant_errors": 0}
 for i in range(int(sys.argv[3])):
     ep = harness.run_episode(wl, harness.episode_seed(int(sys.argv[2]), i))
     harness.check_references(wl, ep)
     totals["queries"] += ep.planned
     totals["failed"] += ep.failed
+    totals["invariant_errors"] += len(ep.invariant_errors)
     for k, v in ep.counters.items():
         totals[k] = totals.get(k, 0) + v
 print(json.dumps(totals))
@@ -142,8 +147,9 @@ def load_package(name: str, src: str):
 
 
 def drive_stream(harness, pkg, wl, seed: int):
-    """Set up one stream with ``pkg``'s parser and engine and drive it
-    through ``harness._drive``; returns the filled ``harness.Episode``."""
+    """Set up one stream with ``pkg``'s parser and engine, drive it through
+    ``harness._drive`` and scan the engine's invariants after the timed
+    drive; returns the filled ``harness.Episode``."""
     lines = harness.stream_lines(wl.vertices, wl.adds, seed)
     events = list(pkg.sliding_window_transform(pkg.read_event_log(lines), wl.window))
     engine = pkg.create_engine(pkg.EngineConfig(
@@ -155,6 +161,7 @@ def drive_stream(harness, pkg, wl, seed: int):
     gc.collect()
     try:
         harness._drive(engine, events, wl, ep, plan)
+        ep.invariant_errors = engine.scan_invariants()
     finally:
         engine.close()
     ep.counters = harness.work_counters(engine)
@@ -203,6 +210,7 @@ def interleave(base_dir: str, workload: str, seed: int, rounds: int) -> bool:
             p50[side] = statistics.median(round_lat)
             for ep in eps[side]:
                 totals[side].update(ep.counters)
+                totals[side]["invariant_errors"] += len(ep.invariant_errors)
         differ = differing(eps["base"], eps["change"])
         ever_differ.update(differ)
         print(f"round {r + 1}/{rounds}: drive change/base {ratio:.3f}, "

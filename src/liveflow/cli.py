@@ -17,6 +17,7 @@ from .events import (
     StreamFormatError,
     StreamOrderError,
     TopologyEvent,
+    check_offered_rate,
     read_event_log,
     sliding_window_transform,
     throttle,
@@ -65,8 +66,8 @@ class RunConfig:
             raise ValueError("query interval must be positive")
         if self.window is not None and self.window <= 0:
             raise ValueError("window size must be positive")
-        if self.offered_rate is not None and not self.offered_rate > 0:  # NaN too
-            raise ValueError("offered rate must be positive")
+        if self.offered_rate is not None:
+            check_offered_rate(self.offered_rate)
         if self.output_format not in ("tsv", "jsonl"):
             raise ValueError(f"unknown output format {self.output_format!r}")
         self.engine.validate()

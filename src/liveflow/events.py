@@ -18,6 +18,7 @@ produces delete-valid output from a sorted add-only input.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import deque
 from typing import Iterable, Iterator, List, NamedTuple, Optional
@@ -31,7 +32,10 @@ __all__ = [
     "read_event_log",
     "sliding_window_transform",
     "throttle",
+    "check_offered_rate",
 ]
+
+MAX_SLEEP_S = 3600.0   # longest single sleep: one of ~300 years overflows
 
 
 class TopologyEvent(NamedTuple):
@@ -181,8 +185,7 @@ def throttle(
     if rate is None:
         yield from stream
         return
-    if not rate > 0:  # NaN too
-        raise ValueError("offered rate must be positive")
+    check_offered_rate(rate)
     start = time.monotonic()
     released = 0
     for ev in stream:
@@ -191,6 +194,12 @@ def throttle(
             delay = due - time.monotonic()
             if delay <= 0:
                 break
-            time.sleep(delay)
+            time.sleep(min(delay, MAX_SLEEP_S))
         released += 1
         yield ev
+
+
+def check_offered_rate(rate: float) -> None:
+    """Reject a rate that is not positive (NaN too) or whose gap is infinite."""
+    if not (rate > 0 and math.isfinite(1 / rate)):
+        raise ValueError("offered rate must be positive with a finite gap 1/rate between events")

@@ -14,15 +14,17 @@ Checked per vertex and per neighbour slot:
 * residual symmetry sums match the aggregate stored capacities (skew
   symmetry), excluding pairs the algorithm ignores (loops, edges into the
   source, edges out of the sink);
-* normal vertices hold zero excess: neither excess nor a deficit rests,
-  since ``vertex.shed`` cancels a deficit as soon as no return is in flight;
-* source/sink heights sit at their fixed points;
+* no deficit rests: ``vertex.shed`` cancels one once no return is in flight;
+* source/sink heights sit at their fixed points, INF and 0;
 * the height invariant holds along every positive residual arc;
 * mirrored heights match the counterpart's true height wherever the
   counterpart holds residual capacity toward it, and match the
   counterpart's last transmitted value unconditionally (INF for a slot
   that has never sent one, the value a new mirror starts at);
-* normal excess sums to zero (conservation).
+* the preflow is maximum, so the sink's excess is the max-flow value: a
+  backward residual search from the sink reaches neither the source nor a
+  normal vertex with positive excess (Goldberg & Tarjan 1988);
+* all excess sums to the source's out-capacity (conservation).
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ def scan(engine) -> List[str]:
     caps = engine.store.caps
     s = engine.source
     t = engine.sink
-    n_max = engine.store.n_max
 
     def alg_cap(u: int, w: int) -> int:
         if u == w or w == s or u == t:
@@ -54,10 +55,10 @@ def scan(engine) -> List[str]:
     for vid, v in verts.items():
         if v.height_pos < 0:
             err(f"vertex {vid}: negative height")
-        if v.vtype == vx.NORMAL and v.excess != 0:
-            err(f"vertex {vid}: normal vertex holds excess {v.excess}")
-        if v.vtype == vx.SOURCE and v.height_pos < n_max:
-            err(f"source height {v.height_pos} below vertex count {n_max}")
+        if v.vtype == vx.NORMAL and v.excess < 0:
+            err(f"vertex {vid}: normal vertex holds a deficit {v.excess}")
+        if v.vtype == vx.SOURCE and v.height_pos != vx.INF:
+            err(f"source height {v.height_pos} != INF")
         if v.vtype == vx.SINK and v.height_pos != 0:
             err(f"sink height {v.height_pos} != 0")
 
@@ -119,8 +120,24 @@ def scan(engine) -> List[str]:
                     f"{w.height_pos} + 1 with residual {ro}"
                 )
 
-    total = sum(v.excess for v in verts.values() if v.vtype == vx.NORMAL)
-    if total != 0:
-        err(f"normal excess does not conserve: sum {total}")
+    # Search back from the sink: x reaches slot i's neighbour when that
+    # neighbour has residual capacity toward x.
+    reached, stack = {t}, [t]
+    while stack:
+        x = verts[stack.pop()]
+        for i, wid in enumerate(x.nbr_ids):
+            if x.res_in[i] > 0 and wid in verts and wid not in reached:
+                reached.add(wid)
+                stack.append(wid)
+    if s in reached:
+        err("the source reaches the sink along residual arcs")
+    for vid in sorted(reached):
+        if verts[vid].vtype == vx.NORMAL and verts[vid].excess > 0:
+            err(f"vertex {vid}: holds excess {verts[vid].excess} and reaches the sink")
+
+    total = sum(v.excess for v in verts.values())
+    out_cap = sum(alg_cap(s, w) for (u, w) in caps if u == s)
+    if total != out_cap:
+        err(f"excess does not conserve: sum {total} != source out-capacity {out_cap}")
 
     return errors

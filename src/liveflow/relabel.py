@@ -6,12 +6,14 @@ exact residual-graph distance. It is one call, ``runtime.SimEngine._run_gr``,
 made between scheduler batches with topology held, in four steps:
 
 * drain: lifts are disabled and all in-flight messages are processed.
-* relabel-up: every vertex jumps to INF except the fixed points, the
-  source and the sink. The drain leaves no deficit: ``vertex.shed``
-  cancels each one along its own flow, with no label.
-* relabel-down: breadth-first searches from the sink and then the source,
-  one level at a time, set every other height to its residual distance;
-  sent heights and mirrors are then written directly, with no message.
+* relabel-up: every normal vertex jumps to INF; the source (INF) and the
+  sink (0) keep their fixed points. The drain leaves no deficit:
+  ``vertex.shed`` cancels each one along its own flow, with no label.
+* relabel-down: a breadth-first search from the sink, one level at a time,
+  sets every vertex that reaches the sink to its residual distance; sent
+  heights and mirrors are then written directly, with no message. The rest
+  stay at INF, and their excess waits there: a maximum preflow already
+  fixes the flow value (Goldberg & Tarjan, JACM 1988).
 * normal: lifts resume and parked excess is discharged.
 
 The trigger is a lift budget, counted since the last relabel: the

@@ -37,7 +37,6 @@ one worker it never draws.
 from __future__ import annotations
 
 import contextlib
-import math
 import random
 import threading
 import time
@@ -70,12 +69,8 @@ __all__ = [
     "create_engine",
 ]
 
-TOPO_EDGE = 0
-TOPO_NEWMAX = 1
-
 QUANTUM = 8               # seeded handler runs per draw on one worker and channel
 PROBE_EVERY = 32          # scheduler steps between relabel-trigger probes
-PROJECTION_FACTOR = 1.1   # source/sink height: ceil(PROJECTION_FACTOR * n_max)
 
 
 class StreamValidityError(ValueError):
@@ -113,21 +108,19 @@ class GrSnapshot:
 
     height_pos: Dict[int, int]
     residual: Dict[Tuple[int, int], int]   # arcs with positive residual
-    n_projected: int
 
 
 class GraphStore:
-    """Aggregate ordered-pair capacities, vertex census, and the projected
-    vertex count used for source/sink heights. ``caps`` holds only pairs
+    """Aggregate ordered-pair capacities and the vertex census, whose size
+    ``n_max`` sets the relabel's lift budget. ``caps`` holds only pairs
     with positive capacity: a pair deleted back to 0 is forgotten."""
 
-    __slots__ = ("caps", "vertices", "n_max", "n_projected")
+    __slots__ = ("caps", "vertices", "n_max")
 
     def __init__(self):
         self.caps: Dict[Tuple[int, int], int] = {}
         self.vertices: Set[int] = set()
         self.n_max = 0
-        self.n_projected = 0
 
     def apply_edge(self, ev: TopologyEvent) -> None:
         key = (ev.src, ev.dst)
@@ -141,21 +134,10 @@ class GraphStore:
         else:
             self.caps.pop(key, None)
 
-    def note_vertices(self, *vids: int) -> int:
-        """Track vertex ids; returns the new projected count when it grew,
-        else 0."""
-        seen = self.vertices
-        added = False
-        for vid in vids:
-            if vid not in seen:
-                seen.add(vid)
-                added = True
-        if added:
-            self.n_max = len(seen)
-            if self.n_max > self.n_projected:
-                self.n_projected = math.ceil(PROJECTION_FACTOR * self.n_max)
-                return self.n_projected
-        return 0
+    def note_vertices(self, *vids: int) -> None:
+        """Track vertex ids."""
+        self.vertices.update(vids)
+        self.n_max = len(self.vertices)
 
     def snapshot(self) -> StaticGraph:
         return StaticGraph(dict(self.caps), set(self.vertices))
@@ -224,15 +206,11 @@ class Worker:
 
     def topo_run(self) -> None:
         """Apply the topology FIFO's next item as one handler run."""
-        item = self.topo.popleft()
-        v = self.get_vertex(item[1])
+        src, dst, delta = self.topo.popleft()
+        v = self.get_vertex(src)
         ctx = self.ctx
         out: list = []
-        if item[0] == TOPO_NEWMAX:
-            vx.on_new_max_vertex_count(v, item[2])
-            dirty = -1
-        else:
-            dirty = vx.on_edge_changed(v, item[2], item[3], out, self.engine.source)
+        dirty = vx.on_edge_changed(v, dst, delta, out, self.engine.source)
         vx.finish_vertex(v, ctx, out, dirty)
         self.route(out)
         self.topo_received += 1
@@ -270,10 +248,9 @@ class SimEngine:
         self.rng = random.Random(config.deterministic_seed)
         self._steps = 0          # scheduler steps run so far
         self._cut_baseline = 0   # flow cuts counted when the last relabel finished
-        np0 = self.store.note_vertices(self.source, self.sink)
-        if np0:
-            self._schedule_newmax(np0)
-        self.pump()  # settle the startup source/sink height events
+        self.store.note_vertices(self.source, self.sink)
+        for vid in (self.source, self.sink):
+            self.workers[vid % self.nworkers].get_vertex(vid)
 
     # -- ingestion ----------------------------------------------------------
 
@@ -281,19 +258,9 @@ class SimEngine:
         if ev.delta == 0:
             raise StreamValidityError("events must carry a nonzero capacity delta")
         self.store.apply_edge(ev)
-        new_np = self.store.note_vertices(ev.src, ev.dst)
-        if new_np:
-            self._schedule_newmax(new_np)
-        self.workers[ev.src % self.nworkers].topo.append(
-            (TOPO_EDGE, ev.src, ev.dst, ev.delta)
-        )
+        self.store.note_vertices(ev.src, ev.dst)
+        self.workers[ev.src % self.nworkers].topo.append((ev.src, ev.dst, ev.delta))
         self.last_event_ts = ev.ts
-
-    def _schedule_newmax(self, n_projected: int) -> None:
-        for vid in (self.source, self.sink):
-            self.workers[vid % self.nworkers].topo.append(
-                (TOPO_NEWMAX, vid, n_projected)
-            )
 
     # -- quiescence ----------------------------------------------------------
 
@@ -482,9 +449,8 @@ class SimEngine:
         run sheds its own, once the flow a cut returns has arrived), no
         excess moves (``held``), and no height ends above where relabel-up
         put it (the source and the sink keep their fixed points, INF bounds
-        every other vertex)."""
+        every other vertex; a search that reached the source breaks INF)."""
         gr = self.gr
-        np_ = self.store.n_projected
 
         # Drain: park lifts and run every in-flight message.
         gr.advance(PHASE_DRAIN)
@@ -492,7 +458,7 @@ class SimEngine:
             w.ctx.lift_enabled = False
         self._run_steps(None, topo=False)
 
-        # Relabel-up: every vertex but the source and the sink jumps to INF.
+        # Relabel-up: every normal vertex jumps to INF.
         gr.advance(PHASE_RELABEL_UP)
         held: Dict[int, int] = {}
         for vid, v in self.vertices_items():
@@ -500,22 +466,22 @@ class SimEngine:
                 if v.excess < 0:
                     raise RuntimeError(f"deficit {v.excess} left after the drain at vertex {vid}")
                 held[vid] = v.excess
-            vx.relabel_up(v, np_)
+            vx.relabel_up(v)
 
-        # Relabel-down: tiered breadth-first searches from the sink and then
-        # the source give every other vertex its residual distance, then the
-        # heights are written where a broadcast would.
+        # Relabel-down: a tiered breadth-first search from the sink gives
+        # every vertex that reaches it its residual distance; the rest stay
+        # at INF, where their excess waits. The heights are then written
+        # where a broadcast would.
         gr.advance(PHASE_RELABEL_DOWN)
         source, sink = (self.workers[x % self.nworkers].vertices[x]
                         for x in (self.source, self.sink))
         self._levels([sink], 0)
-        self._levels([source], np_)
         self._write_heights()
-        for v, fixed in ((source, np_), (sink, 0)):
+        for v, fixed in ((source, vx.INF), (sink, 0)):
             if v.height_pos != fixed:
                 raise RuntimeError(f"non-monotone descent at vertex {v.vid}")
 
-        snap = self._post_descent_state(np_) if capture else None
+        snap = self._post_descent_state() if capture else None
 
         # Normal: resume lifts and discharge parked excess. A discharge
         # changes only its own vertex's excess until the routed messages
@@ -573,7 +539,7 @@ class SimEngine:
                 w = workers[ids[i] % n].vertices[ids[i]]
                 v.sent_hpos[i] = w.mirror_hpos[w.nbr_index[vid]] = hp if res_in[i] > 0 else INF
 
-    def _post_descent_state(self, n_projected: int) -> GrSnapshot:
+    def _post_descent_state(self) -> GrSnapshot:
         hpos: Dict[int, int] = {}
         residual: Dict[Tuple[int, int], int] = {}
         for vid, v in self.vertices_items():
@@ -583,7 +549,7 @@ class SimEngine:
             for i in v.live:
                 if res_out[i] > 0:
                     residual[(vid, ids[i])] = res_out[i]
-        return GrSnapshot(hpos, residual, n_projected)
+        return GrSnapshot(hpos, residual)
 
 
 class ThreadedEngine(SimEngine):

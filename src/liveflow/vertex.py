@@ -38,6 +38,10 @@ Conventions used throughout:
   stand for a height never seen, which is no valid lower bound: the tail
   would drop to height 1 (or push toward a head with no route) and the
   error would spread through lifts until a global relabel repairs it.
+* The source sits at INF and the sink at 0, both fixed. The source's arcs
+  need no height invariant: nothing sits above INF, so no neighbour pushes
+  back to it, and excess with no residual route to the sink waits where it
+  is (see :func:`discharge`).
 * Every outbound message carries the sender's height subject to a
   suppression rule: it is attached only when the counterpart holds
   residual capacity toward us (``res_in[i] > 0``). ``sent_hpos`` records
@@ -76,7 +80,6 @@ __all__ = [
     "discharge",
     "restore_height_invariant",
     "broadcast_height_if_needed",
-    "on_new_max_vertex_count",
     "on_edge_changed",
     "on_message_received",
     "finish_vertex",
@@ -162,8 +165,7 @@ class VertexState:
         self.vid = vid
         self.vtype = vtype
         self.excess = 0
-        # The projected-count event raises the source's height.
-        self.height_pos = INF if vtype == NORMAL else 0
+        self.height_pos = 0 if vtype == SINK else INF
         self.nbr_ids: List[int] = []
         self.res_out: List[int] = []
         self.res_in: List[int] = []
@@ -297,8 +299,8 @@ def discharge(v: VertexState, ctx: OpContext, out: list) -> None:
 
     The lift raises a normal vertex to one above the lowest residual mirror;
     while lifts are disabled (a global relabel's drain) the excess is parked
-    instead. When every residual mirror is INF a height refresh is in flight
-    and the excess waits.
+    instead. When every residual mirror is INF the excess waits: a height
+    refresh is in flight, or no residual route to the sink exists.
     """
     normal = v.vtype == NORMAL
     if v.excess < 0:
@@ -369,15 +371,6 @@ def broadcast_height_if_needed(v: VertexState, out: list, dirty: int = -1) -> No
         if res_in[i] > 0 and sent[i] != hp:
             sent[i] = hp
             out.append((v.nbr_ids[i], Msg(v.vid, FLOW, 0, hp)))
-
-
-def on_new_max_vertex_count(v: VertexState, new_count: int) -> None:
-    """React to growth of the projected vertex count: the source's height
-    rises to the new count. The discharge (new push opportunities may have
-    appeared) and the height broadcast are left to :func:`finish_vertex`,
-    which closes the handler run."""
-    if v.vtype == SOURCE:
-        v.height_pos = new_count
 
 
 def on_edge_changed(v: VertexState, w: int, delta: int, out: list, source_id: int) -> int:
@@ -459,15 +452,10 @@ def finish_vertex(v: VertexState, ctx: OpContext, out: list, dirty: int = -1) ->
     broadcast_height_if_needed(v, out, dirty)
 
 
-def relabel_up(v: VertexState, n_projected: int) -> None:
-    """Reset the height for a global relabel's breadth-first searches:
-    every normal vertex rises to INF, the source takes the projected count
-    and the sink 0. Only the height changes: relabel-down writes the sent
-    heights and the mirrors of the ``live`` slots once the searches are done.
+def relabel_up(v: VertexState) -> None:
+    """Reset the height for a global relabel's breadth-first search: every
+    vertex but the sink rises to INF, the source's fixed point, and the sink
+    keeps 0. Only the height changes: relabel-down writes the sent heights
+    and the mirrors of the ``live`` slots once the search is done.
     """
-    if v.vtype == SOURCE:
-        v.height_pos = n_projected
-    elif v.vtype == SINK:
-        v.height_pos = 0
-    else:
-        v.height_pos = INF
+    v.height_pos = 0 if v.vtype == SINK else INF

@@ -111,24 +111,22 @@ def growth_stream(
 
 def expected_heights(snap, source: int, sink: int, vertices) -> Dict[int, int]:
     """Exact residual distances a global relabel must produce: the shortest
-    distance to the sink, or projected-count + distance to the source,
-    relaxing along residual arcs (v -> w gives label(v) <= label(w) + 1);
-    the source and the sink are pinned. INF where neither is reachable.
+    distance to the sink, relaxing along residual arcs (v -> w gives
+    label(v) <= label(w) + 1). The sink is pinned at 0 and the source at
+    INF; every vertex that cannot reach the sink is INF too.
     """
     rev = defaultdict(list)
     for (u, w), cf in snap.residual.items():
         if cf > 0:
             rev[w].append(u)
-    seeds = {sink: 0, source: snap.n_projected}
-    dist = dict(seeds)
-    pq = [(d, v) for v, d in seeds.items()]
-    heapq.heapify(pq)
+    dist = {sink: 0}
+    pq = [(0, sink)]
     while pq:
         d, v = heapq.heappop(pq)
         if dist[v] < d:
             continue
         for u in rev.get(v, ()):
-            if u not in seeds and d + 1 < dist.get(u, INF):
+            if u not in (source, sink) and d + 1 < dist.get(u, INF):
                 dist[u] = d + 1
                 heapq.heappush(pq, (d + 1, u))
     return {v: dist.get(v, INF) for v in vertices}

@@ -70,8 +70,9 @@ def test_interleave_ends_with_equal_summed_counts_against_head(tmp_path):
     assert lines[head + 1].split() == ["work", "count", "base", "change", "change/base"]
     rows = {row.split()[0]: row.split()[1:] for row in lines[head + 2:]}
     assert set(rows) == {"msg_sent", "msg_received", "topo_received", "lifts",
-                         "relabel_runs", "sched_steps"}
+                         "relabel_runs", "sched_steps", "invariant_errors"}
     for name, (base, change, _) in rows.items():
         assert base == change, name
     assert int(rows["msg_sent"][0]) > 0
+    assert rows["invariant_errors"][:2] == ["0", "0"]
     assert proc.returncode == 0, proc.stdout + proc.stderr

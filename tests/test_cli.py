@@ -130,6 +130,11 @@ class TestRunCli:
             pytest.param(
                 dict(offered_rate=float("nan")), "offered rate must be positive", id="offered_rate_nan"
             ),
+            pytest.param(
+                dict(offered_rate=1e-320),
+                "offered rate must be positive with a finite gap 1/rate between events",
+                id="offered_rate_infinite_gap",
+            ),
             pytest.param(dict(query_interval=0), "query interval must be positive", id="query_interval"),
             pytest.param(dict(output_format="xml"), "unknown output format 'xml'", id="format"),
         ],

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liveflow.events import (
+    MAX_SLEEP_S,
     StreamFormatError,
     StreamOrderError,
     TopologyEvent,
@@ -284,6 +285,29 @@ class TestThrottle:
     def test_rate_nan_rejected(self):
         with pytest.raises(ValueError, match="offered rate must be positive"):
             list(throttle([TopologyEvent(0, 0, 1, 1)], float("nan")))
+
+    def test_rate_with_infinite_gap_rejected(self):
+        # 1/1e-320 overflows to inf: the second event would be due never.
+        with pytest.raises(ValueError, match="finite gap 1/rate between events"):
+            list(throttle([TopologyEvent(0, 0, 1, 1)], 1e-320))
+
+    def test_long_gap_sleeps_in_bounded_pieces(self, monkeypatch):
+        # A gap of 1e10 s is finite, but one sleep that long overflows.
+        slept = []
+
+        class Woken(Exception):
+            pass
+
+        def sleep(seconds):
+            slept.append(seconds)
+            raise Woken
+
+        monkeypatch.setattr(time, "sleep", sleep)
+        paced = throttle([TopologyEvent(i, 0, 1, 1) for i in range(2)], 1e-10)
+        assert next(paced) == TopologyEvent(0, 0, 1, 1)
+        with pytest.raises(Woken):
+            next(paced)
+        assert slept == [MAX_SLEEP_S]
 
     def test_long_run_rate_is_bounded(self):
         stream = [TopologyEvent(i, 0, 1, 1) for i in range(2000)]

@@ -19,7 +19,6 @@ from liveflow.vertex import (
     finish_vertex,
     on_edge_changed,
     on_message_received,
-    on_new_max_vertex_count,
 )
 from test_vertex_ops import flows, make_vertex, wire
 
@@ -227,33 +226,3 @@ class TestOnMessageReceived:
         finish_vertex(v, ctx, again, i)
         assert v.nbr_ids == [7, 8, 31] and v.mirror_hpos[i] == 3 and again == []
 
-
-class TestOnNewMaxVertexCount:
-    def test_source_rises_and_pushes(self):
-        s = make_vertex(vid=SRC_ID, vtype=SOURCE, excess=9, hpos=4)
-        wire(s, 7, res_out=4, mhpos=4)
-        wire(s, 8, res_out=3, mhpos=4)
-        out = []
-        on_new_max_vertex_count(s, 12)
-        finish_vertex(s, OpContext(), out)
-        assert s.height_pos == 12
-        assert sorted(flows(out)) == [(7, 4), (8, 3)]
-        assert s.excess == 2
-
-    def test_normal_vertex_is_untouched(self):
-        v = make_vertex(vid=5, hpos=3)
-        wire(v, 7, res_out=1, res_in=1)
-        out = []
-        on_new_max_vertex_count(v, 12)
-        finish_vertex(v, OpContext(), out)
-        assert v.height_pos == 3
-        assert out == []
-
-    def test_sink_keeps_height_zero(self):
-        t = make_vertex(vid=9, vtype=SINK, excess=3, hpos=0)
-        wire(t, 7, res_in=6)
-        out = []
-        on_new_max_vertex_count(t, 12)
-        finish_vertex(t, OpContext(), out)
-        assert (t.height_pos, t.excess) == (0, 3)
-        assert out == []

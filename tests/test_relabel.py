@@ -158,16 +158,17 @@ class TestRelabelUp:
         for excess in (0, 3, -2):
             v = VertexState(5, NORMAL)
             v.height_pos, v.excess = 3, excess
-            relabel_up(v, 12)
+            relabel_up(v)
             assert v.height_pos == INF
 
     def test_source_and_sink_fixed_points(self):
         s = VertexState(0, SOURCE)
-        relabel_up(s, 12)
-        assert s.height_pos == 12
+        assert s.height_pos == INF
+        relabel_up(s)
+        assert s.height_pos == INF
         t = VertexState(9, SINK)
         t.height_pos = 4
-        relabel_up(t, 12)
+        relabel_up(t)
         assert t.height_pos == 0
 
 
@@ -231,7 +232,7 @@ class TestGlobalRelabelRuns:
 
         def checked_write_heights():
             write_heights()
-            snap = eng._post_descent_state(eng.store.n_projected)
+            snap = eng._post_descent_state()
             assert snap.height_pos == expected_heights(snap, 0, 1, set(snap.height_pos))
             checked.append(snap)
 
@@ -426,8 +427,8 @@ class TestDeficits:
         # The source's excess goes below 0 when its out-capacity falls, and
         # only the source sheds nothing. Cancelling the flow on 0 -> 9 from
         # both ends would orbit it between the source and the sink; cancelling
-        # along 0 -> 4 would drop the source's height to one above vertex 4,
-        # below the vertex count, which the scan reports.
+        # along 0 -> 4 would drop the source's height from INF to one above
+        # vertex 4, which the scan reports.
         eng = sim(workers=workers)
         for ts, (u, v, c) in enumerate(edges):
             eng.ingest(TopologyEvent(ts, u, v, c))
@@ -480,11 +481,8 @@ class TestAddsAmongCutOffVertices:
         eng.query()
         snap = eng.force_global_relabel(capture=True)
         eng.query()
-        # Cut off from the sink, yet finite: they route back to the source.
-        cut_off = sorted(
-            v for v, h in snap.height_pos.items()
-            if v >= 2 and snap.n_projected <= h < INF
-        )
+        # Cut off from the sink: the relabel leaves them at INF.
+        cut_off = sorted(v for v, h in snap.height_pos.items() if v >= 2 and h == INF)
         assert len(cut_off) >= 10
         ts = 15 * V
         for k in range(10):
@@ -581,6 +579,28 @@ class TestSelfChecks:
 
         monkeypatch.setattr(eng, "_run_steps", drain_then_fault)
         with pytest.raises(RuntimeError, match="deficit -1 left after the drain at vertex 1"):
+            eng.force_global_relabel()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_search_that_reaches_the_source_raises(self, monkeypatch, workers):
+        # The source saturates every arc toward a finite height, so the
+        # sink's search never reaches it; a residual arc from the source
+        # into vertex 1, which reaches the sink, is the fault.
+        eng = SimEngine(EngineConfig(source=0, sink=9, workers=workers, deterministic_seed=1))
+        for i, (u, v, c) in enumerate([(0, 1, 5), (1, 9, 9)]):
+            eng.ingest(TopologyEvent(i, u, v, c))
+        assert eng.query().flow_value == 5
+        run_steps = eng._run_steps
+
+        def drain_then_fault(budget, topo=True):
+            ran = run_steps(budget, topo)
+            if not topo:  # the relabel's drain
+                v1 = eng.workers[1 % workers].vertices[1]
+                v1.res_in[v1.nbr_index[0]] += 1
+            return ran
+
+        monkeypatch.setattr(eng, "_run_steps", drain_then_fault)
+        with pytest.raises(RuntimeError, match="non-monotone descent at vertex 0"):
             eng.force_global_relabel()
 
     @pytest.mark.parametrize("removed", [dict(debug=True), dict(gr=GrState().tunables)])

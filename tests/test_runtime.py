@@ -1,4 +1,3 @@
-import math
 import random
 import sys
 import threading
@@ -17,14 +16,13 @@ from liveflow import (
 )
 from liveflow.oracle import throughflow_vertices
 from liveflow.runtime import (
-    PROJECTION_FACTOR,
     EngineConfig,
     SimEngine,
     StreamValidityError,
     ThreadedEngine,
     create_engine,
 )
-from liveflow.vertex import FLOW, NORMAL, Msg
+from liveflow.vertex import FLOW, INF, NORMAL, Msg
 
 
 def sim(source=0, sink=9, workers=1, seed=1, **kw):
@@ -60,26 +58,16 @@ class TestConfig:
 
 
 class TestIngest:
-    def test_new_vertices_grow_projection_and_source_height(self):
-        eng = sim(source=100, sink=200)
-        # startup: two vertices
-        assert eng.store.n_max == 2
-        assert eng.store.n_projected == math.ceil(PROJECTION_FACTOR * 2)
+    def test_source_and_sink_start_at_their_fixed_points(self):
+        # Both terminals exist from the start, with no scheduler step run.
+        eng = sim(source=100, sink=200, workers=3)
+        assert eng.store.n_max == 2 and eng._steps == 0
+        assert eng.workers[100 % 3].vertices[100].height_pos == INF
+        assert eng.workers[200 % 3].vertices[200].height_pos == 0
         eng.ingest(TopologyEvent(0, 1, 2, 1))
         eng.pump()
         assert eng.store.n_max == 4
-        assert eng.store.n_projected == math.ceil(PROJECTION_FACTOR * 4)
-        src = eng.workers[100 % eng.nworkers].vertices[100]
-        assert src.height_pos == eng.store.n_projected
-
-    def test_event_between_known_vertices_keeps_projection(self):
-        eng = sim(source=100, sink=200)
-        eng.ingest(TopologyEvent(0, 1, 2, 1))
-        eng.pump()
-        np_before = eng.store.n_projected
-        eng.ingest(TopologyEvent(1, 2, 1, 3))
-        eng.pump()
-        assert eng.store.n_projected == np_before
+        assert eng.workers[100 % 3].vertices[100].height_pos == INF
 
     def test_delete_of_never_added_edge_rejected(self):
         eng = sim()
@@ -371,8 +359,48 @@ class TestInvariantScan:
         eng.query()
         eng.workers[0].vertices[2].excess = -1
         errors = eng.scan_invariants()
-        assert "vertex 2: normal vertex holds excess -1" in errors, errors
-        assert "normal excess does not conserve: sum -1" in errors, errors
+        assert "vertex 2: normal vertex holds a deficit -1" in errors, errors
+        assert "excess does not conserve: sum 19 != source out-capacity 20" in errors, errors
+
+    @staticmethod
+    def unpush(eng, path, amount):
+        """Take ``amount`` of flow off every arc of ``path``, so its first
+        vertex holds the excess again: every ledger stays consistent, only
+        the preflow stops being maximum."""
+        vs = eng.workers[0].vertices
+        for a, b in zip(path, path[1:]):
+            u, w = vs[a], vs[b]
+            i, j = u.nbr_index[b], w.nbr_index[a]
+            u.res_out[i] += amount
+            u.res_in[i] -= amount
+            w.res_in[j] += amount
+            w.res_out[j] -= amount
+        vs[path[0]].excess += amount
+        vs[path[-1]].excess -= amount
+
+    def test_excess_that_reaches_the_sink_is_reported(self):
+        eng = sim()
+        for ts, (u, v, c) in enumerate([(0, 2, 3), (2, 9, 5)]):
+            eng.ingest(TopologyEvent(ts, u, v, c))
+        assert eng.query().flow_value == 3
+        assert eng.scan_invariants() == []
+        self.unpush(eng, [2, 9], 1)
+        assert eng.scan_invariants() == ["vertex 2: holds excess 1 and reaches the sink"]
+
+    def test_source_that_reaches_the_sink_is_reported(self):
+        eng = sim()
+        for ts, (u, v, c) in enumerate([(0, 2, 5), (2, 9, 5)]):
+            eng.ingest(TopologyEvent(ts, u, v, c))
+        assert eng.query().flow_value == 5
+        self.unpush(eng, [0, 2, 9], 1)
+        errors = eng.scan_invariants()
+        assert "the source reaches the sink along residual arcs" in errors, errors
+        assert not any("excess" in e for e in errors), errors
+
+    def test_source_below_inf_is_reported(self):
+        eng = sim()
+        eng.workers[0].vertices[0].height_pos = 7
+        assert eng.scan_invariants() == ["source height 7 != INF"]
 
     def test_clean_after_random_stream(self):
         rng = random.Random(17)
@@ -381,6 +409,43 @@ class TestInvariantScan:
         for ev in events:
             eng.ingest(ev)
         eng.query()
+        assert eng.scan_invariants() == []
+
+
+class TestParkedExcess:
+    """Excess with no residual route to the sink waits where it is, and no
+    flow goes back to the source. It moves again as soon as a route
+    appears, however long that route is."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_cut_off_excess_waits_and_takes_a_long_new_path(self, workers):
+        eng = sim(source=0, sink=1, workers=workers)
+
+        def vert(vid):
+            return eng.workers[vid % workers].vertices[vid]
+
+        for ts, (u, v, c) in enumerate([(0, 2, 5), (2, 1, 5)]):
+            eng.ingest(TopologyEvent(ts, u, v, c))
+        assert eng.query().flow_value == 5
+        eng.ingest(TopologyEvent(2, 2, 1, -5))
+        assert eng.query().flow_value == 0
+        assert (vert(2).excess, vert(0).excess) == (5, 0)
+        assert eng.gr.runs == 0 and eng._total_lifts() == 0
+        assert eng.scan_invariants() == []
+        eng.force_global_relabel()
+        assert (vert(2).height_pos, vert(2).excess, vert(0).excess) == (INF, 5, 0)
+        assert eng.scan_invariants() == []
+        # A 21-arc path from 2 to the sink, longer than the 3 vertices known
+        # when vertex 2 parked.
+        n_parked = eng.store.n_max
+        chain = [2] + list(range(10, 30)) + [1]
+        for k, (u, v) in enumerate(zip(chain, chain[1:])):
+            eng.ingest(TopologyEvent(3 + k, u, v, 3))
+        assert len(chain) - 1 > n_parked
+        got = eng.query().flow_value
+        want, _ = max_flow_reference(eng.store.snapshot(), 0, 1)
+        assert got == want == 3
+        assert (vert(2).excess, vert(0).excess) == (2, 0)
         assert eng.scan_invariants() == []
 
 

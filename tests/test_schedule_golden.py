@@ -1,7 +1,7 @@
 """Golden replay of the seeded scheduler.
 
 The deterministic engine promises that the same seed and configuration give
-the same schedule, the same work counts and the same flow values. These two
+the same schedule, the same work counts and the same flow values. These three
 fixed streams pin that schedule down exactly: any change to which worker or
 channel the scheduler picks, to how the seeded generator is consumed, to how
 many scheduler steps run, or to the messages the vertex program
@@ -11,6 +11,10 @@ purpose must say so and record the new values.
 * ``add-only``: 1 worker, growth stream, sparse queries.
 * ``window``: 2 workers, sliding window (deletions), frequent queries; this
   one exercises the seeded choice between workers and between channels.
+* ``steady``: 1 worker, the regime of many small changes to a large graph:
+  a preload of 15 edges per vertex, then batches of 10 events, each event
+  the deletion of a whole live pair with probability 0.45, and a query
+  after each batch.
 
 Every relabel runs its self-checks, which observe the run without moving
 the schedule. Each case runs twice: ``fast`` only queries, ``debug`` also
@@ -34,24 +38,49 @@ from liveflow import (
 )
 
 
+def random_edge(rng, vertices, st_prob):
+    """One edge over vertices 0..vertices-1 with source 0 and sink 1;
+    with probability ``st_prob`` it leaves the source or enters the sink."""
+    roll = rng.random()
+    if roll < st_prob / 2:
+        return 0, rng.randrange(2, vertices)
+    if roll < st_prob:
+        return rng.randrange(2, vertices), 1
+    return rng.randrange(2, vertices), rng.randrange(2, vertices)
+
+
 def growth_stream(vertices, adds, seed, st_prob=0.04):
-    """Add-only stream over vertices 0..vertices-1 with source 0 and sink 1;
-    ``st_prob`` of the edges leave the source or enter the sink."""
+    """Add-only stream of random edges with capacities 1-3."""
     rng = random.Random(seed)
-    events = []
-    for i in range(adds):
-        roll = rng.random()
-        if roll < st_prob / 2:
-            u, v = 0, rng.randrange(2, vertices)
-        elif roll < st_prob:
-            u, v = rng.randrange(2, vertices), 1
+    return [TopologyEvent(i, *random_edge(rng, vertices, st_prob), rng.randint(1, 3))
+            for i in range(adds)]
+
+
+def steady_stream(vertices, batches, batch, seed, del_prob=0.45):
+    """A preload of 15 edges per vertex, 1% of them touching the source or
+    the sink, then ``batches`` batches of ``batch`` events. Each event
+    deletes the whole capacity of a random live pair with probability
+    ``del_prob``, else adds an edge drawn as in the preload."""
+    events = growth_stream(vertices, 15 * vertices, seed, st_prob=0.01)
+    rng = random.Random(seed + 1)
+    caps = {}
+    for ev in events:
+        caps[(ev.src, ev.dst)] = caps.get((ev.src, ev.dst), 0) + ev.delta
+    for ts in range(len(events), len(events) + batches * batch):
+        if rng.random() < del_prob:
+            pair = rng.choice(sorted(caps))
+            events.append(TopologyEvent(ts, *pair, -caps.pop(pair)))
         else:
-            u, v = rng.randrange(2, vertices), rng.randrange(2, vertices)
-        events.append(TopologyEvent(i, u, v, rng.randint(1, 3)))
+            u, v = random_edge(rng, vertices, 0.01)
+            c = rng.randint(1, 3)
+            caps[(u, v)] = caps.get((u, v), 0) + c
+            events.append(TopologyEvent(ts, u, v, c))
     return events
 
 
-def replay(events, workers, seed, query_every, debug=False):
+def replay(events, workers, seed, query_every, debug=False, preload=0):
+    """Ingest ``events``, querying before every ``query_every``-th event
+    after the first ``preload`` ones, and once at the end."""
     eng = SimEngine(EngineConfig(source=0, sink=1, workers=workers,
                                  deterministic_seed=seed))
     flows = []
@@ -64,7 +93,7 @@ def replay(events, workers, seed, query_every, debug=False):
             assert flows[-1] == want, f"query {len(flows)}"
 
     for i, ev in enumerate(events):
-        if i and i % query_every == 0:
+        if i >= preload and i and (i - preload) % query_every == 0:
             query(ev.ts)
         eng.ingest(ev)
     query()
@@ -84,16 +113,23 @@ CASES = {
     "add-only": dict(
         events=lambda: growth_stream(150, 4000, seed=11),
         workers=1, seed=5, query_every=500,
-        counts={"msg_sent": 37407, "msg_received": 37407, "topo_received": 4046,
-                "lifts": 752, "relabel_runs": 5, "steps": 41453},
+        counts={"msg_sent": 35514, "msg_received": 35514, "topo_received": 4000,
+                "lifts": 752, "relabel_runs": 5, "steps": 39514},
         flows=[10, 30, 55, 78, 88, 103, 121, 147],
     ),
     "window": dict(
         events=lambda: list(sliding_window_transform(growth_stream(100, 1200, seed=12), 300)),
         workers=2, seed=9, query_every=100,
-        counts={"msg_sent": 18616, "msg_received": 18616, "topo_received": 2137,
-                "lifts": 799, "relabel_runs": 29, "steps": 20753},
+        counts={"msg_sent": 15703, "msg_received": 15703, "topo_received": 2099,
+                "lifts": 795, "relabel_runs": 26, "steps": 17802},
         flows=[0, 1, 9, 8, 7, 7, 6, 4, 8, 9, 6, 9, 7, 7, 4, 4, 4, 9, 11, 12, 10],
+    ),
+    "steady": dict(
+        events=lambda: steady_stream(300, batches=15, batch=10, seed=3),
+        workers=1, seed=3, query_every=10, preload=4500,
+        counts={"msg_sent": 28592, "msg_received": 28592, "topo_received": 4650,
+                "lifts": 601, "relabel_runs": 3, "steps": 33242},
+        flows=[34] + [31] * 8 + [32] * 7,
     ),
 }
 
@@ -104,7 +140,7 @@ def test_seeded_schedule_replays_golden_counts(name, debug):
     case = CASES[name]
     events = case["events"]()
     counts, flows, eng = replay(events, case["workers"], case["seed"],
-                                case["query_every"], debug)
+                                case["query_every"], debug, case.get("preload", 0))
     assert counts == case["counts"]
     assert flows == case["flows"]
     want, _ = max_flow_reference(eng.store.snapshot(), 0, 1)
