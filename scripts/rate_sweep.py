@@ -13,9 +13,10 @@ Example:
 import argparse
 import math
 import statistics
+import sys
 import time
 
-from liveflow.events import read_event_log, throttle
+from liveflow.events import StreamFormatError, StreamOrderError, read_event_log, throttle
 from liveflow.metrics import QuerySchedule
 from liveflow.runtime import EngineConfig, ThreadedEngine
 
@@ -49,8 +50,10 @@ def main():
     args = p.parse_args()
     if args.query_interval <= 0:
         p.error("--query-interval must be positive")
-    if args.workers < 1:
-        p.error("--workers must be at least 1")
+    try:
+        EngineConfig(source=args.source, sink=args.sink, workers=args.workers).validate()
+    except ValueError as exc:
+        p.error(str(exc))
     try:
         fractions = [float(f) for f in args.fractions.split(",")]
     except ValueError:
@@ -58,8 +61,13 @@ def main():
     if not all(math.isfinite(f) and f > 0 for f in fractions):
         p.error("--fractions must all be positive and finite")
 
-    with open(args.input, encoding="utf-8") as fh:
-        events = list(read_event_log(fh))
+    try:
+        with open(args.input, encoding="utf-8") as fh:
+            events = list(read_event_log(fh))
+    except (OSError, StreamFormatError, StreamOrderError) as exc:
+        sys.exit(f"{p.prog}: cannot read input: {exc}")
+    if not events:
+        p.error(f"{args.input} holds no events")
     print(f"{len(events)} events; measuring saturation...")
     lat, sat = run(events, args.source, args.sink, args.workers, args.query_interval, None)
     print(f"saturation: {sat:,.0f} events/s, median latency {statistics.median(lat)*1e3:.1f} ms")

@@ -15,13 +15,13 @@ Two execution modes run that same code:
 * deterministic (seeded): the caller's thread runs the scheduler whenever it
   pumps or queries.
 * threaded (default): one background thread pumps while the caller keeps
-  ingesting; its scheduler is seeded from OS entropy. A query or a forced
-  relabel waits until the thread is idle with every queue empty, which is
-  quiescence, and then runs on the caller's thread while the thread stays
-  parked.
+  ingesting; its scheduler is seeded from OS entropy. A query waits until
+  the thread is idle with every queue empty, which is quiescence, and then
+  extracts on the caller's thread while the thread stays parked.
 
-A global relabel is one call, ``SimEngine._run_gr``, made between scheduler
-batches: drain, relabel-up, relabel-down, then normal execution resumes.
+A global relabel is one call, ``SimEngine._run_gr``, which ``pump`` makes
+between scheduler batches once the lift budget is spent: drain, relabel-up,
+relabel-down, then normal execution resumes.
 
 Replay contract of the deterministic mode: the same seed and the same
 configuration, fed the same events and queries, give the same schedule,
@@ -36,7 +36,6 @@ one worker it never draws.
 
 from __future__ import annotations
 
-import contextlib
 import random
 import threading
 import time
@@ -60,7 +59,6 @@ from .relabel import (
 __all__ = [
     "EngineConfig",
     "QueryResult",
-    "GrSnapshot",
     "StreamValidityError",
     "GraphStore",
     "Engine",
@@ -99,15 +97,6 @@ class QueryResult:
     flow_value: int
     involved: frozenset
     latency_s: float
-
-
-@dataclass
-class GrSnapshot:
-    """Frozen state right after a global relabel's searches set the
-    heights, before normal execution resumes."""
-
-    height_pos: Dict[int, int]
-    residual: Dict[Tuple[int, int], int]   # arcs with positive residual
 
 
 class GraphStore:
@@ -419,7 +408,7 @@ class SimEngine:
             gr.cut_pending = self._total_cuts() > self._cut_baseline
             if (check_trigger(gr, self._steps, self._total_lifts(), self.store.n_max)
                     and not self._queues_empty()):
-                self._run_gr(capture=False)
+                self._run_gr()
             budget = PROBE_EVERY if max_steps is None else min(PROBE_EVERY, max_steps - done)
             ran = self._run_steps(budget)
             done += ran
@@ -432,15 +421,9 @@ class SimEngine:
         self.pump()
         return self._extract(trigger_ts, started)
 
-    def force_global_relabel(self, capture: bool = False) -> Optional[GrSnapshot]:
-        """Run a full global relabel now. With ``capture=True`` returns the
-        frozen state after relabel-down (heights are exact residual distances
-        at that instant, before normal execution resumes)."""
-        return self._run_gr(capture=capture)
-
     # -- global relabel (synchronous) -----------------------------------------
 
-    def _run_gr(self, capture: bool = False) -> Optional[GrSnapshot]:
+    def _run_gr(self) -> None:
         """One global relabel, start to finish. Only its drain runs the
         scheduler, with topology events held (``_run_steps(topo=False)``).
         Workers and vertices go in stored order, so the schedule replays;
@@ -481,8 +464,6 @@ class SimEngine:
             if v.height_pos != fixed:
                 raise RuntimeError(f"non-monotone descent at vertex {v.vid}")
 
-        snap = self._post_descent_state() if capture else None
-
         # Normal: resume lifts and discharge parked excess. A discharge
         # changes only its own vertex's excess until the routed messages
         # run, so each check below still sees relabel-down's result.
@@ -504,7 +485,6 @@ class SimEngine:
             w.route(out)
         if held:  # a vertex that held excess after the drain holds none now
             raise RuntimeError(f"flow moved during relabel at vertex {next(iter(held))}")
-        return snap
 
     def _levels(self, frontier: list, level: int) -> None:
         """Breadth-first search, one level per superstep: each vertex still
@@ -539,28 +519,15 @@ class SimEngine:
                 w = workers[ids[i] % n].vertices[ids[i]]
                 v.sent_hpos[i] = w.mirror_hpos[w.nbr_index[vid]] = hp if res_in[i] > 0 else INF
 
-    def _post_descent_state(self) -> GrSnapshot:
-        hpos: Dict[int, int] = {}
-        residual: Dict[Tuple[int, int], int] = {}
-        for vid, v in self.vertices_items():
-            hpos[vid] = v.height_pos
-            ids = v.nbr_ids
-            res_out = v.res_out
-            for i in v.live:
-                if res_out[i] > 0:
-                    residual[(vid, ids[i])] = res_out[i]
-        return GrSnapshot(hpos, residual)
-
 
 class ThreadedEngine(SimEngine):
     """The seeded engine's loop on one background thread, beside ingestion.
 
     The thread pumps in batches of PROBE_EVERY steps. With every queue empty
     it marks itself idle and waits on ``_cond``; ``ingest`` (when the thread
-    is idle), ``query``, ``force_global_relabel`` and ``close`` wake it.
-    ``query`` and ``force_global_relabel`` wait for that idle state and run
-    on the caller's thread while the background thread stays parked. The
-    scheduler's generator is seeded from OS entropy."""
+    is idle), ``query`` and ``close`` wake it. ``query`` waits for that idle
+    state and extracts on the caller's thread while the background thread
+    stays parked. The scheduler's generator is seeded from OS entropy."""
 
     def __init__(self, config: EngineConfig):
         super().__init__(config)
@@ -595,30 +562,19 @@ class ThreadedEngine(SimEngine):
         with self._cond:
             return self._idle and self._queues_empty()
 
-    @contextlib.contextmanager
-    def _parked(self):
-        """Hold ``_cond`` from quiescence to the end of the block, then wake
-        the thread for whatever work the block queued. ``_serve`` sets idle
-        and waits without releasing the lock in between, so while this
-        holds the lock and sees idle the thread is inside ``cond.wait()``."""
+    def query(self, trigger_ts: Optional[int] = None) -> QueryResult:
+        """Wait for quiescence, then extract while holding ``_cond``.
+        ``_serve`` sets idle and waits without releasing the lock in
+        between, so while this holds the lock and sees idle the thread is
+        inside ``cond.wait()``. A closed engine never gets there again, so
+        the wait raises once ``close`` has run."""
+        started = time.perf_counter()
         with self._cond:
             self._cond.notify_all()
             while not self.detect_quiescence():
+                if self._stop:
+                    raise RuntimeError("query on a closed engine")
                 self._cond.wait()
-            try:
-                yield
-            finally:
-                self._cond.notify_all()
-
-    def force_global_relabel(self, capture: bool = False) -> Optional[GrSnapshot]:
-        """Wait for quiescence, then run a full global relabel on the
-        caller's thread."""
-        with self._parked():
-            return self._run_gr(capture=capture)
-
-    def query(self, trigger_ts: Optional[int] = None) -> QueryResult:
-        started = time.perf_counter()
-        with self._parked():
             return self._extract(trigger_ts, started)
 
     def close(self) -> None:

@@ -1,4 +1,5 @@
-"""Shared test utilities: stream generators and independent oracles.
+"""Shared test utilities: stream generators, independent oracles, and a
+reader of the state a global relabel leaves.
 
 The oracles here are deliberately separate from the engine's code paths:
 expected heights come from a shortest-distance search over a frozen residual
@@ -11,6 +12,7 @@ from __future__ import annotations
 import heapq
 import random
 from collections import defaultdict
+from types import SimpleNamespace
 from typing import Dict, List, Set, Tuple
 
 from liveflow import TopologyEvent
@@ -130,6 +132,38 @@ def expected_heights(snap, source: int, sink: int, vertices) -> Dict[int, int]:
                 dist[u] = d + 1
                 heapq.heappush(pq, (d + 1, u))
     return {v: dist.get(v, INF) for v in vertices}
+
+
+def post_descent_state(eng) -> SimpleNamespace:
+    """The heights and the positive residual arcs (u, w) -> capacity, read
+    from the vertices. Read right after ``_write_heights``, before normal
+    execution resumes, the heights are the relabel's exact distances."""
+    height_pos: Dict[int, int] = {}
+    residual: Dict[Pair, int] = {}
+    for vid, v in eng.vertices_items():
+        height_pos[vid] = v.height_pos
+        for i in v.live:
+            if v.res_out[i] > 0:
+                residual[(vid, v.nbr_ids[i])] = v.res_out[i]
+    return SimpleNamespace(height_pos=height_pos, residual=residual)
+
+
+def relabel_now(eng) -> SimpleNamespace:
+    """Run one global relabel on a seeded engine and return
+    ``post_descent_state`` as relabel-down left it."""
+    write_heights = eng._write_heights
+    states = []
+
+    def write_and_read():
+        write_heights()
+        states.append(post_descent_state(eng))
+
+    eng._write_heights = write_and_read
+    try:
+        eng._run_gr()
+    finally:
+        eng._write_heights = write_heights
+    return states[0]
 
 
 def brute_force_unit_max_flow(edges: Set[Pair], s: int, t: int) -> int:

@@ -24,7 +24,8 @@ def sweep(*args):
         (["--fractions", "inf"], "--fractions must all be positive and finite"),
         (["--fractions", "half"], "--fractions must be comma-separated numbers"),
         (["--query-interval", "0"], "--query-interval must be positive"),
-        (["--workers", "0"], "--workers must be at least 1"),
+        (["--workers", "0"], "need at least one worker"),
+        (["--sink", "0"], "source and sink must differ"),
     ],
 )
 def test_bad_arguments_exit_2_before_the_log_is_read(tmp_path, args, message):
@@ -35,6 +36,24 @@ def test_bad_arguments_exit_2_before_the_log_is_read(tmp_path, args, message):
     proc = sweep(*[x for kv in settings.items() for x in kv])
     assert proc.returncode == 2
     assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_missing_log_exits_1_without_a_traceback(tmp_path):
+    proc = sweep("--input", str(tmp_path / "missing.log"), "--query-interval", "50")
+    assert proc.returncode == 1
+    assert "rate_sweep.py: cannot read input:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_log_without_events_exits_2(tmp_path):
+    log = tmp_path / "empty.log"
+    log.write_text("# a comment and a blank line only\n\n")
+    proc = sweep("--input", str(log), "--query-interval", "50")
+    assert proc.returncode == 2
+    assert "holds no events" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
 

@@ -3,7 +3,13 @@ import threading
 
 import pytest
 
-from helpers import expected_heights, growth_stream, random_delete_valid_stream
+from helpers import (
+    expected_heights,
+    growth_stream,
+    post_descent_state,
+    random_delete_valid_stream,
+    relabel_now,
+)
 from liveflow import TopologyEvent, max_flow_reference
 from liveflow.events import sliding_window_transform
 from liveflow import runtime
@@ -178,8 +184,7 @@ class TestGlobalRelabelRuns:
         for i, (u, v, c) in enumerate([(0, 1, 5), (1, 9, 5)]):
             eng.ingest(TopologyEvent(i, u, v, c))
         eng.query()
-        snap = eng.force_global_relabel(capture=True)
-        assert snap is not None
+        eng._run_gr()
         assert eng.gr.runs == 1
         assert eng.gr.phase == PHASE_NORMAL
 
@@ -188,7 +193,7 @@ class TestGlobalRelabelRuns:
         for i, (u, v, c) in enumerate([(0, 1, 5), (1, 9, 5)]):
             eng.ingest(TopologyEvent(i, u, v, c))
         eng.query()
-        snap = eng.force_global_relabel(capture=True)
+        snap = relabel_now(eng)
         # the chain is saturated: vertex 1 reaches the sink only through the
         # reverse arc story; recompute from the snapshot's own residual graph
         assert snap.height_pos == expected_heights(snap, 0, 9, set(snap.height_pos))
@@ -198,7 +203,7 @@ class TestGlobalRelabelRuns:
         for i, (u, v, c) in enumerate([(0, 1, 5), (1, 9, 9)]):
             eng.ingest(TopologyEvent(i, u, v, c))
         eng.query()
-        snap = eng.force_global_relabel(capture=True)
+        snap = relabel_now(eng)
         # residual arc 1 -> sink persists, so vertex 1 sits one above the sink
         assert snap.height_pos[1] == 1
 
@@ -208,7 +213,7 @@ class TestGlobalRelabelRuns:
         for i, (u, v, c) in enumerate(events):
             eng.ingest(TopologyEvent(i, u, v, c))
         eng.query()
-        snap = eng.force_global_relabel(capture=True)
+        snap = relabel_now(eng)
         assert snap.height_pos[20] == snap.height_pos[21] == INF
 
     def test_invariants_hold_after_relabel(self):
@@ -218,33 +223,56 @@ class TestGlobalRelabelRuns:
         for ev in events:
             eng.ingest(ev)
         eng.query()
-        eng.force_global_relabel()
+        eng._run_gr()
         eng.pump()  # let reactivation settle
         assert eng.scan_invariants() == []
 
-    @pytest.mark.parametrize("workers", [2, 3])
-    def test_own_relabels_give_exact_heights(self, workers):
-        # The engine's own relabels, not forced ones: they start mid-stream,
-        # right after the flow cuts of a sliding window.
-        eng = sim(source=0, sink=1, workers=workers, seed=3)
+    @pytest.mark.parametrize("workers, threaded", [
+        pytest.param(2, False, id="2"),
+        pytest.param(3, False, id="3"),
+        pytest.param(2, True, id="threaded-2"),
+    ])
+    def test_own_relabels_give_exact_heights(self, workers, threaded):
+        # The engine's own relabels: they start mid-stream, right after the
+        # flow cuts of a sliding window. The threaded engine runs them on its
+        # background thread, where a failed assertion would end the thread
+        # and leave the next query waiting; so mismatches are recorded, and
+        # the stream runs on a thread with a deadline.
+        seed = None if threaded else 3
+        config = EngineConfig(source=0, sink=1, workers=workers, deterministic_seed=seed)
+        eng = ThreadedEngine(config) if threaded else SimEngine(config)
         write_heights = eng._write_heights
-        checked = []
+        checked, mismatches, answers = [], [], []
 
         def checked_write_heights():
             write_heights()
-            snap = eng._post_descent_state()
-            assert snap.height_pos == expected_heights(snap, 0, 1, set(snap.height_pos))
+            snap = post_descent_state(eng)
+            if snap.height_pos != expected_heights(snap, 0, 1, set(snap.height_pos)):
+                mismatches.append(len(checked))
             checked.append(snap)
 
         eng._write_heights = checked_write_heights
         events = list(sliding_window_transform(
             growth_stream(random.Random(5), 500, 30, st_edge_prob=0.12), 90))
-        for k, ev in enumerate(events):
-            eng.ingest(ev)
-            if k % 25 == 24:
-                want, _ = max_flow_reference(eng.store.snapshot(), 0, 1)
-                assert eng.query().flow_value == want
-                assert eng.scan_invariants() == []
+
+        def stream():
+            for k, ev in enumerate(events):
+                eng.ingest(ev)
+                if k % 25 == 24:
+                    want, _ = max_flow_reference(eng.store.snapshot(), 0, 1)
+                    answers.append((eng.query().flow_value, want, eng.scan_invariants()))
+            eng.query()
+
+        t = threading.Thread(target=stream, daemon=True)
+        try:
+            t.start()
+            t.join(60)
+        finally:
+            eng.close()
+        assert not t.is_alive(), f"query {len(answers) + 1} never returned"
+        assert len(answers) == len(events) // 25
+        assert mismatches == []
+        assert all(got == want and errors == [] for got, want, errors in answers), answers
         assert len(checked) == eng.gr.runs > 0
         assert eng._total_cuts() > 0
 
@@ -252,79 +280,8 @@ class TestGlobalRelabelRuns:
         eng = sim()
         eng.ingest(TopologyEvent(0, 1, 9, 2))
         eng.query()
-        eng.force_global_relabel()
+        eng._run_gr()
         assert eng.gr.runs == 1
-
-    def test_threaded_forced_relabel_keeps_flow_and_invariants(self, monkeypatch):
-        rng = random.Random(51)  # positive flow on both halves, and it changes
-        s, t, events = random_delete_valid_stream(rng, max_vertices=12, max_events=120)
-        cut = len(events) // 2
-        # the lift trigger out of reach: only the forced run relabels
-        monkeypatch.setattr(runtime, "check_trigger", never_trigger)
-        eng = ThreadedEngine(EngineConfig(source=s, sink=t, workers=3))
-        try:
-            for ev in events[:cut]:
-                eng.ingest(ev)
-            want, _ = max_flow_reference(eng.store.snapshot(), s, t)
-            assert eng.query().flow_value == want > 0
-            runs = eng.gr.runs
-            eng.force_global_relabel()
-            # at quiescence with no topology queued no cut can follow
-            assert eng.gr.runs == runs + 1
-            for ev in events[cut:]:
-                eng.ingest(ev)  # lands after the relabel: needs topology and pushes back
-            got = eng.query().flow_value
-            want, _ = max_flow_reference(eng.store.snapshot(), s, t)
-            assert got == want > 0
-            assert eng.scan_invariants() == []
-        finally:
-            eng.close()
-
-    def test_threaded_forced_relabel_runs_on_the_calling_thread(self, monkeypatch):
-        monkeypatch.setattr(runtime, "check_trigger", never_trigger)
-        eng = ThreadedEngine(EngineConfig(source=0, sink=1, workers=2))
-        threads = []
-        advance = eng.gr.advance
-
-        def record(phase):
-            threads.append(threading.current_thread())
-            advance(phase)
-
-        eng.gr.advance = record
-        try:
-            for i, (u, v, c) in enumerate([(0, 2, 5), (2, 1, 3), (2, 3, 4), (3, 1, 2)]):
-                eng.ingest(TopologyEvent(i, u, v, c))
-            eng.force_global_relabel()
-            assert eng.query().flow_value == 5
-        finally:
-            eng.close()
-        assert eng.gr.runs == 1
-        assert threads == [threading.current_thread()] * 4
-
-    def test_threaded_relabel_with_backlog_gives_exact_heights(self, monkeypatch):
-        # The background thread is still working off the stream when the
-        # relabel is forced: the call waits for the backlog to drain, then
-        # relabels. Drained heights are stale lower bounds, so only a real
-        # relabel-up and descent give the exact distances. Relabels in the
-        # middle of a backlog are covered on the seeded engine (criterion 05
-        # and TestExactnessOnRandomStates).
-        events = growth_stream(random.Random(52), events=3000, vertices=60)
-        # the stream runs for thousands of steps: hold the lift budget off
-        monkeypatch.setattr(runtime, "check_trigger", never_trigger)
-        eng = ThreadedEngine(EngineConfig(source=0, sink=1, workers=3))
-        try:
-            for ev in events:
-                eng.ingest(ev)
-            backlog = not eng._queues_empty()
-            snap = eng.force_global_relabel(capture=True)
-            assert snap.height_pos == expected_heights(snap, 0, 1, set(snap.height_pos))
-            got = eng.query().flow_value
-            want, _ = max_flow_reference(eng.store.snapshot(), 0, 1)
-            assert got == want > 0
-            assert eng.gr.runs == 1
-        finally:
-            eng.close()
-        assert backlog, "the stream drained before the forced relabel"
 
 
 class TestCutTrigger:
@@ -479,7 +436,7 @@ class TestAddsAmongCutOffVertices:
         for ev in growth_stream(rng, events=15 * V, vertices=V, cap_hi=3, st_edge_prob=0.01):
             eng.ingest(ev)
         eng.query()
-        snap = eng.force_global_relabel(capture=True)
+        snap = relabel_now(eng)
         eng.query()
         # Cut off from the sink: the relabel leaves them at INF.
         cut_off = sorted(v for v, h in snap.height_pos.items() if v >= 2 and h == INF)
@@ -507,7 +464,7 @@ class TestExactnessOnRandomStates:
             for ev in events[:prefix]:
                 eng.ingest(ev)
             eng.pump(max_steps=rng.randint(0, 200))  # arbitrary mid-stream point
-            snap = eng.force_global_relabel(capture=True)
+            snap = relabel_now(eng)
             assert snap.height_pos == expected_heights(snap, s, t, set(snap.height_pos))
 
 
@@ -561,7 +518,7 @@ class TestSelfChecks:
 
         monkeypatch.setattr(eng, "_write_heights", faulty_write_heights)
         with pytest.raises(RuntimeError, match=message):
-            eng.force_global_relabel()
+            eng._run_gr()
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_deficit_left_by_the_drain_raises(self, monkeypatch, workers):
@@ -579,7 +536,7 @@ class TestSelfChecks:
 
         monkeypatch.setattr(eng, "_run_steps", drain_then_fault)
         with pytest.raises(RuntimeError, match="deficit -1 left after the drain at vertex 1"):
-            eng.force_global_relabel()
+            eng._run_gr()
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_search_that_reaches_the_source_raises(self, monkeypatch, workers):
@@ -601,7 +558,7 @@ class TestSelfChecks:
 
         monkeypatch.setattr(eng, "_run_steps", drain_then_fault)
         with pytest.raises(RuntimeError, match="non-monotone descent at vertex 0"):
-            eng.force_global_relabel()
+            eng._run_gr()
 
     @pytest.mark.parametrize("removed", [dict(debug=True), dict(gr=GrState().tunables)])
     def test_removed_settings_are_rejected(self, removed):

@@ -324,6 +324,26 @@ class TestBackgroundThread:
         assert not eng._thread.is_alive()
         assert time.monotonic() - started < 1.0
 
+    def test_query_after_close_raises(self):
+        # Nothing pumps after close, so quiescence never holds again; the
+        # query runs on a thread with a deadline in case it waits.
+        eng = ThreadedEngine(EngineConfig(source=0, sink=1, workers=2))
+        eng.ingest(TopologyEvent(0, 0, 1, 3))
+        assert eng.query().flow_value == 3
+        eng.close()
+        raised = []
+
+        def late_query():
+            with pytest.raises(RuntimeError, match="query on a closed engine"):
+                eng.query()
+            raised.append(True)
+
+        t = threading.Thread(target=late_query, daemon=True)
+        t.start()
+        t.join(10)
+        assert not t.is_alive(), "the query after close never returned"
+        assert raised
+
     def test_close_warns_when_the_thread_does_not_stop(self):
         eng = ThreadedEngine(EngineConfig(source=0, sink=1, workers=2))
         entered, release = threading.Event(), threading.Event()
@@ -432,7 +452,7 @@ class TestParkedExcess:
         assert (vert(2).excess, vert(0).excess) == (5, 0)
         assert eng.gr.runs == 0 and eng._total_lifts() == 0
         assert eng.scan_invariants() == []
-        eng.force_global_relabel()
+        eng._run_gr()
         assert (vert(2).height_pos, vert(2).excess, vert(0).excess) == (INF, 5, 0)
         assert eng.scan_invariants() == []
         # A 21-arc path from 2 to the sink, longer than the 3 vertices known

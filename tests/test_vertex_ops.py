@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from helpers import expected_heights, growth_stream
+from helpers import expected_heights, growth_stream, relabel_now
 from liveflow import TopologyEvent, max_flow_reference, sliding_window_transform
 from liveflow.runtime import EngineConfig, SimEngine
 from liveflow.vertex import (
@@ -364,7 +364,7 @@ class TestLiveIndex:
     def test_relabel_at_quiescence_writes_exact_heights_and_matching_mirrors(self, workers):
         # A sliding window leaves dead slots and cuts flow. Relabel-down
         # sends no message: it writes heights, sent values and mirrors
-        # itself. So a relabel forced at quiescence must leave, before any
+        # itself. So a relabel run at quiescence must leave, before any
         # pump, a clean scan (every mirror equal to the counterpart's last
         # sent value, dead slots included) and the exact residual distances.
         eng = SimEngine(EngineConfig(source=0, sink=1, workers=workers, deterministic_seed=3))
@@ -377,9 +377,9 @@ class TestLiveIndex:
                 want, _ = max_flow_reference(eng.store.snapshot(), 0, 1)
                 assert eng.query().flow_value == want
                 dead += sum(len(v.nbr_ids) - len(v.live) for _, v in eng.vertices_items())
-                snap = eng.force_global_relabel(capture=True)
+                snap = relabel_now(eng)
                 assert eng.scan_invariants() == []
                 assert snap.height_pos == expected_heights(snap, 0, 1, set(snap.height_pos))
                 assert eng.query().flow_value == want
-        assert dead, "no pair died before a forced relabel"
+        assert dead, "no pair died before a relabel"
         assert eng._total_cuts(), "the window never cut a flow"
